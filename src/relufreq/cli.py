@@ -6,8 +6,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import ReluFreqError
 from .multitone import DatasetSpec, harmonic_stack, sample_dataset, synthesize
 from .relu_taylor import TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
-from .trainer import AdamHyper, default_dataset_spec, run_comparison, zero_train_eval
+from .trainer import run_comparison, zero_train_eval
 
 PRNG_ID = "numpy PCG64; normals via Box-Muller over two uniform draws"
 RRMSE_DEFINITION = "l2_norm(estimate - reference) / l2_norm(reference)"
@@ -40,7 +40,7 @@ HEART_DEPTH = 3
 HEART_AVG_LEN = 4
 HEART_POOL = (2, 2)
 
-ZERO_TRAIN_SPEC = dict(
+ZERO_TRAIN_SPEC = DatasetSpec(
     class_means=(3.0, 5.0, 10.0),
     freq_std=0.1,
     samples_per_class=100,
@@ -61,6 +61,22 @@ class RunManifest:
     tool_version: str
     output_files: List[str]
     results: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class Artifacts:
+    """What a file-writing subcommand produced, handed to ``_write_artifacts``.
+
+    ``tables`` maps CSV names to (header, rows), ``json_files`` maps JSON
+    names to payloads; ``summary`` is printed once everything is written.
+    """
+
+    config: Dict[str, object]
+    results: Dict[str, object]
+    tables: Dict[str, Tuple[Sequence[str], Sequence[Sequence]]]
+    json_files: Dict[str, object] = field(default_factory=dict)
+    seed: int = 0
+    summary: Optional[str] = None
 
 
 def _jsonable(value):
@@ -99,20 +115,29 @@ def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def emit_manifest(path: str, manifest: RunManifest) -> None:
-    payload = {
-        "command": manifest.command,
-        "full_config": _jsonable(manifest.full_config),
-        "seed": manifest.seed,
-        "tool_version": manifest.tool_version,
-        "output_files": list(manifest.output_files),
-        "results": _jsonable(manifest.results),
-    }
+def _emit_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(out_dir: str, manifest: RunManifest) -> None:
+def emit_manifest(path: str, manifest: RunManifest) -> None:
+    """Sorted-key JSON of the manifest; dataclasses in it are written field by field."""
+    _emit_json(path, asdict(manifest))
+
+
+def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
+    """Write every table and JSON file, then a manifest listing exactly those files."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, (header, rows) in artifacts.tables.items():
+        emit_csv(os.path.join(out_dir, name), header, rows)
+        written.append(name)
+    for name, payload in artifacts.json_files.items():
+        _emit_json(os.path.join(out_dir, name), payload)
+        written.append(name)
+    manifest = RunManifest(
+        command, artifacts.config, artifacts.seed, __version__, written, artifacts.results
+    )
     emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
 
@@ -130,18 +155,16 @@ def _parse_kernel(text: str):
 # subcommands
 
 
-def _cmd_coeffs(args) -> int:
+def _cmd_coeffs(args) -> None:
     from .relu_taylor import sqrt_taylor_coefficients
 
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     for c in sqrt_taylor_coefficients(args.n):
         print(_fmt(c))
-    return 0
 
 
-def _cmd_approx(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+def _cmd_approx(args) -> Artifacts:
     amplitudes = [1.0] * args.harmonics
     tones = harmonic_stack(args.f0, args.harmonics, amplitudes)
     x = synthesize(tones, args.fs, args.duration)
@@ -149,34 +172,16 @@ def _cmd_approx(args) -> int:
     cfg = TaylorConfig(args.terms, args.prescale)
     approx, report = approximate_relu(tones, args.fs, args.duration, cfg)
     err = rrmse(y_relu, approx)
-
-    t = x.times
-    emit_csv(
-        os.path.join(args.out, "approx_time.csv"),
-        ["t", "x", "relu_x", "approx"],
-        list(zip(t, x.samples, y_relu.samples, approx.samples)),
-    )
     freqs, x_mag = spectrum(x).one_sided()
     _, relu_mag = spectrum(y_relu).one_sided()
     _, approx_mag = spectrum(approx).one_sided()
-    emit_csv(
-        os.path.join(args.out, "approx_spectrum.csv"),
-        ["f", "x_mag", "relu_mag", "approx_mag"],
-        list(zip(freqs, x_mag, relu_mag, approx_mag)),
-    )
     convergence = {
         "max_abs_g": report.max_abs_fluctuation,
         "fraction_violating": report.fraction_violating,
         "valid": report.valid,
     }
-    with open(
-        os.path.join(args.out, "convergence.json"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        fh.write(json.dumps(_jsonable(convergence), indent=2, sort_keys=True) + "\n")
-
-    manifest = RunManifest(
-        command="approx",
-        full_config={
+    return Artifacts(
+        config={
             "f0_hz": args.f0,
             "harmonics": args.harmonics,
             "amplitudes": amplitudes,
@@ -187,18 +192,23 @@ def _cmd_approx(args) -> int:
             "rrmse_definition": RRMSE_DEFINITION,
             "dft_normalization": DFT_NORMALIZATION,
         },
-        seed=0,
-        tool_version=__version__,
-        output_files=["approx_time.csv", "approx_spectrum.csv", "convergence.json"],
         results={"rrmse": err, **convergence},
+        tables={
+            "approx_time.csv": (
+                ["t", "x", "relu_x", "approx"],
+                list(zip(x.times, x.samples, y_relu.samples, approx.samples)),
+            ),
+            "approx_spectrum.csv": (
+                ["f", "x_mag", "relu_mag", "approx_mag"],
+                list(zip(freqs, x_mag, relu_mag, approx_mag)),
+            ),
+        },
+        json_files={"convergence.json": convergence},
+        summary=f"rrmse {_fmt(err)}",
     )
-    _write_outputs(args.out, manifest)
-    print(f"rrmse {_fmt(err)}")
-    return 0
 
 
-def _cmd_proto(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+def _cmd_proto(args) -> Artifacts:
     kind = DIFFERENTIATOR if args.kind == "dif" else MOVING_AVERAGE
     stack = make_prototype_stack(kind, depth=args.depth, avg_len=args.avg_len)
     amplitudes = [1.0] * PROBE_HARMONICS
@@ -210,18 +220,7 @@ def _cmd_proto(args) -> int:
     spectra = [spectrum(sig) for sig in signals]
     freqs, _ = spectra[0].one_sided()
     columns = [sp.one_sided()[1] for sp in spectra]
-    header = ["f"] + [f"layer_{i}" for i in range(len(signals))]
-    emit_csv(
-        os.path.join(args.out, "layer_spectra.csv"),
-        header,
-        list(zip(freqs, *columns)),
-    )
     occupancies = [band_occupancy(sp, OCCUPANCY_THRESHOLD) for sp in spectra]
-    emit_csv(
-        os.path.join(args.out, "occupancy.csv"),
-        ["layer", "occupancy"],
-        list(enumerate(occupancies)),
-    )
     results: Dict[str, object] = {"occupancy_per_layer": occupancies}
     if kind == MOVING_AVERAGE:
         first_null = args.fs / args.avg_len
@@ -229,9 +228,8 @@ def _cmd_proto(args) -> int:
         results["energy_above_first_null_per_layer"] = [
             energy_fraction_above(sp, first_null) for sp in spectra
         ]
-    manifest = RunManifest(
-        command="proto",
-        full_config={
+    return Artifacts(
+        config={
             "kind": kind,
             "depth": args.depth,
             "avg_len": args.avg_len,
@@ -244,17 +242,18 @@ def _cmd_proto(args) -> int:
             "occupancy_threshold": OCCUPANCY_THRESHOLD,
             "dft_normalization": DFT_NORMALIZATION,
         },
-        seed=0,
-        tool_version=__version__,
-        output_files=["layer_spectra.csv", "occupancy.csv"],
         results=results,
+        tables={
+            "layer_spectra.csv": (
+                ["f"] + [f"layer_{i}" for i in range(len(signals))],
+                list(zip(freqs, *columns)),
+            ),
+            "occupancy.csv": (["layer", "occupancy"], list(enumerate(occupancies))),
+        },
     )
-    _write_outputs(args.out, manifest)
-    return 0
 
 
-def _cmd_heart_demo(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+def _cmd_heart_demo(args) -> Artifacts:
     amplitudes = [1.0, 0.5]
     tones = harmonic_stack(args.hr, 2, amplitudes)
     x = synthesize(tones, HEART_FS, HEART_DURATION)
@@ -266,10 +265,8 @@ def _cmd_heart_demo(args) -> int:
     for i, sig in enumerate([x] + layers):
         freqs, mags = spectrum(sig).one_sided()
         rows.extend((i, f, m) for f, m in zip(freqs, mags))
-    emit_csv(os.path.join(args.out, "heart_spectra.csv"), ["layer", "f", "magnitude"], rows)
-    manifest = RunManifest(
-        command="heart-demo",
-        full_config={
+    return Artifacts(
+        config={
             "heart_rate_hz": args.hr,
             "harmonics": 2,
             "amplitudes": amplitudes,
@@ -281,125 +278,65 @@ def _cmd_heart_demo(args) -> int:
             "pool_width_stride": list(HEART_POOL),
             "dft_normalization": DFT_NORMALIZATION,
         },
-        seed=0,
-        tool_version=__version__,
-        output_files=["heart_spectra.csv"],
-        results={
-            "layer_sample_rates_hz": [sig.sample_rate for sig in [x] + layers],
-        },
+        results={"layer_sample_rates_hz": [sig.sample_rate for sig in [x] + layers]},
+        tables={"heart_spectra.csv": (["layer", "f", "magnitude"], rows)},
     )
-    _write_outputs(args.out, manifest)
-    return 0
 
 
-def _cmd_train_compare(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    hyper = AdamHyper()
-    spec = default_dataset_spec()
-    report = run_comparison(args.reps, args.seed, epochs=args.epochs, adam_hyper=hyper)
-    net_order = ["relu", "linear", "linear_dc"]
-
-    loss_rows = []
-    for name in net_order:
-        net = report.nets[name]
-        for epoch in range(args.epochs):
-            loss_rows.append(
-                (
-                    epoch + 1,
-                    name,
-                    net.loss_median[epoch],
-                    net.loss_q25[epoch],
-                    net.loss_q75[epoch],
-                )
-            )
-    emit_csv(
-        os.path.join(args.out, "loss_curves.csv"),
-        ["epoch", "net", "median", "q25", "q75"],
-        loss_rows,
-    )
-    dist_rows = []
-    for name in net_order:
-        net = report.nets[name]
-        n_layers = net.distance_median.shape[0]
-        for layer in range(n_layers):
-            for epoch in range(args.epochs + 1):
-                dist_rows.append(
-                    (
-                        epoch,
-                        name,
-                        layer,
-                        net.distance_median[layer, epoch],
-                        net.distance_q25[layer, epoch],
-                        net.distance_q75[layer, epoch],
-                    )
-                )
-    emit_csv(
-        os.path.join(args.out, "distance_curves.csv"),
-        ["epoch", "net", "layer", "median", "q25", "q75"],
-        dist_rows,
-    )
-    manifest = RunManifest(
-        command="train-compare",
-        full_config={
-            "repetitions": args.reps,
-            "epochs": args.epochs,
-            "batch_size": 32,
-            "adam": {
-                "lr": hyper.lr,
-                "beta1": hyper.beta1,
-                "beta2": hyper.beta2,
-                "epsilon": hyper.epsilon,
-            },
-            "architecture": {
-                "conv_layers": [
-                    {"filters": 8, "kernel_size": 5, "activation": "per-variant"},
-                    {"filters": 8, "kernel_size": 5, "activation": "per-variant"},
-                ],
-                "hidden_units": 16,
-                "hidden_activation": "relu",
-                "n_classes": spec.n_classes,
-                "flatten_mode": "flatten",
-                "input_length": int(round(spec.sample_rate * spec.duration)),
-                "init": "uniform [-sqrt(1/fan_in), sqrt(1/fan_in)], biases zero",
-            },
-            "dataset": {
-                "class_means_hz": spec.class_means,
-                "freq_std_hz": spec.freq_std,
-                "samples_per_class": spec.samples_per_class,
-                "sample_rate_hz": spec.sample_rate,
-                "duration_s": spec.duration,
-            },
-            "dc_levels": {0: 1.0, 1: 2.0, 2: 3.0},
-            "networks": net_order,
+def _cmd_train_compare(args) -> Artifacts:
+    report = run_comparison(args.reps, args.seed, epochs=args.epochs)
+    loss_rows = [
+        (epoch + 1, name, net.loss_median[epoch], net.loss_q25[epoch], net.loss_q75[epoch])
+        for name, net in report.nets.items()
+        for epoch in range(report.epochs)
+    ]
+    dist_rows = [
+        (
+            epoch,
+            name,
+            layer,
+            net.distance_median[layer, epoch],
+            net.distance_q25[layer, epoch],
+            net.distance_q75[layer, epoch],
+        )
+        for name, net in report.nets.items()
+        for layer in range(net.distance_median.shape[0])
+        for epoch in range(report.epochs + 1)
+    ]
+    results: Dict[str, object] = {}
+    for name, net in report.nets.items():
+        results[name] = {
+            "median_final_conv_distance": float(np.median(net.final_conv_distances)),
+            "median_final_accuracy": float(np.median(net.final_accuracies)),
+        }
+        if net.final_losses.size:  # no loss exists when no epoch ran
+            results[name]["median_final_loss"] = float(np.median(net.final_losses))
+    return Artifacts(
+        config={
+            "repetitions": report.n_repetitions,
+            "epochs": report.epochs,
+            "batch_size": report.batch_size,
+            "adam": report.adam_hyper,
+            "architectures": report.architectures,
+            "dataset": report.dataset_spec,
+            "dc_levels": report.dc_levels,
+            "networks": list(report.nets),
             "seed_derivation": "PCG64(seed) integer matrix (reps, 7): data, init x3, shuffle x3",
             "prng": PRNG_ID,
         },
-        seed=args.seed,
-        tool_version=__version__,
-        output_files=["loss_curves.csv", "distance_curves.csv"],
-        results={
-            name: {
-                "median_final_loss": float(np.median(report.nets[name].final_losses)),
-                "median_final_conv_distance": float(
-                    np.median(report.nets[name].final_conv_distances)
-                ),
-                "median_final_accuracy": float(
-                    np.median(report.nets[name].final_accuracies)
-                ),
-            }
-            for name in net_order
+        results=results,
+        tables={
+            "loss_curves.csv": (["epoch", "net", "median", "q25", "q75"], loss_rows),
+            "distance_curves.csv": (["epoch", "net", "layer", "median", "q25", "q75"], dist_rows),
         },
+        seed=args.seed,
     )
-    _write_outputs(args.out, manifest)
-    return 0
 
 
-def _cmd_zero_train(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+def _cmd_zero_train(args) -> Artifacts:
     seed = args.seed if args.seed is not None else 0
     dataset_seed = seed + 1
-    spec = DatasetSpec(**ZERO_TRAIN_SPEC)
-    dataset = sample_dataset(spec, dataset_seed)
+    dataset = sample_dataset(ZERO_TRAIN_SPEC, dataset_seed)
     if args.seed is not None:
         report = zero_train_eval(dataset, seed=args.seed)
         kernel_source = "random"
@@ -408,33 +345,20 @@ def _cmd_zero_train(args) -> int:
         report = zero_train_eval(dataset, kernel=Kernel(np.array(taps)))
         kernel_source = "explicit" if args.kernel is not None else "default"
 
-    grid = np.linspace(0.0, spec.sample_rate / 2.0, RESPONSE_POINTS)
-    response = fir_response(Kernel(report.taps), grid, spec.sample_rate)
-    emit_csv(
-        os.path.join(args.out, "response.csv"),
-        ["f", "b"],
-        list(zip(response.frequencies, response.gains)),
-    )
-    emit_csv(
-        os.path.join(args.out, "dc_by_class.csv"),
-        ["f_i", "dc", "class"],
-        list(zip(report.sample_freqs, report.sample_dcs, report.sample_labels)),
-    )
-    manifest = RunManifest(
-        command="zero-train",
-        full_config={
+    fs = ZERO_TRAIN_SPEC.sample_rate
+    grid = np.linspace(0.0, fs / 2.0, RESPONSE_POINTS)
+    response = fir_response(Kernel(report.taps), grid, fs)
+    return Artifacts(
+        config={
             "kernel_taps": report.taps,
             "kernel_source": kernel_source,
             "kernel_seed": seed if kernel_source == "random" else None,
             "dataset_seed": dataset_seed,
-            "dataset": dict(ZERO_TRAIN_SPEC),
+            "dataset": ZERO_TRAIN_SPEC,
             "response_grid_points": RESPONSE_POINTS,
             "classifier": "nearest-class-mean of the per-sample DC",
             "prng": PRNG_ID,
         },
-        seed=seed,
-        tool_version=__version__,
-        output_files=["response.csv", "dc_by_class.csv"],
         results={
             "accuracy": report.accuracy,
             "class_labels": report.class_labels,
@@ -443,10 +367,16 @@ def _cmd_zero_train(args) -> int:
             "class_std_dcs": report.class_std_dcs,
             "class_gains": report.class_gains,
         },
+        tables={
+            "response.csv": (["f", "b"], list(zip(response.frequencies, response.gains))),
+            "dc_by_class.csv": (
+                ["f_i", "dc", "class"],
+                list(zip(report.sample_freqs, report.sample_dcs, report.sample_labels)),
+            ),
+        },
+        seed=seed,
+        summary=f"accuracy {_fmt(report.accuracy)}",
     )
-    _write_outputs(args.out, manifest)
-    print(f"accuracy {_fmt(report.accuracy)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +442,12 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        artifacts = args.func(args)
+        if artifacts is not None:
+            _write_artifacts(args.out, args.subcommand, artifacts)
+            if artifacts.summary is not None:
+                print(artifacts.summary)
+        return 0
     except (ReluFreqError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,8 @@ class Kernel:
         self.taps = np.asarray(self.taps, dtype=float)
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ValueError("kernel taps must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(self.taps)):
+            raise ValueError(f"kernel taps must be finite, got {self.taps}")
 
 
 @dataclass

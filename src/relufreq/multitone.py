@@ -11,6 +11,12 @@ import numpy as np
 from .errors import AliasingError, EmptyToneError
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CosineComponent:
     """One cosine oscillation: amplitude * cos(2*pi*frequency*t + phase)."""
@@ -20,6 +26,7 @@ class CosineComponent:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(amplitude=self.amplitude, frequency=self.frequency, phase=self.phase)
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.frequency < 0:
@@ -87,8 +94,8 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -117,6 +124,12 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         means = tuple(float(m) for m in self.class_means)
         object.__setattr__(self, "class_means", means)
+        _require_finite(
+            freq_std=self.freq_std, sample_rate=self.sample_rate, duration=self.duration
+        )
+        offsets = self.dc_map.values() if self.dc_map is not None else ()
+        if not all(math.isfinite(v) for v in (*means, *offsets)):
+            raise ValueError("class_means and dc_map values must be finite")
         if not means:
             raise ValueError("class_means must be non-empty")
         if any(b <= a for a, b in zip(means, means[1:])):
@@ -138,21 +151,32 @@ class DatasetSpec:
 
 @dataclass
 class LabeledSet:
-    """Signals with class labels; optionally carries each sample's drawn frequency."""
+    """Equal-length signals as the rows of one array, with class labels.
 
-    inputs: list
-    labels: list
-    frequencies: Optional[list] = None
+    ``inputs`` is (N, L), every row sampled at ``sample_rate``; ``frequencies``
+    optionally carries each row's drawn tone frequency.
+    """
+
+    inputs: np.ndarray
+    labels: np.ndarray
+    sample_rate: float
+    frequencies: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if len(self.inputs) != len(self.labels):
+        self.inputs = np.asarray(self.inputs, dtype=float)
+        self.labels = np.asarray(self.labels, dtype=int)
+        if self.inputs.ndim != 2:
+            raise ValueError("inputs must have shape (samples, length)")
+        if self.labels.shape != (len(self.inputs),):
             raise ValueError("inputs and labels must have equal length")
-        if self.frequencies is not None and len(self.frequencies) != len(self.inputs):
-            raise ValueError("frequencies must match inputs in length")
-        if self.labels:
-            n_classes = max(self.labels) + 1
-            if any(lab < 0 or lab >= n_classes for lab in self.labels):
-                raise ValueError("labels must lie in [0, number of classes)")
+        if self.frequencies is not None:
+            self.frequencies = np.asarray(self.frequencies, dtype=float)
+            if self.frequencies.shape != self.labels.shape:
+                raise ValueError("frequencies must match inputs in length")
+        if np.any(self.labels < 0):
+            raise ValueError("labels must be >= 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -162,20 +186,26 @@ def synthesize(tones: MultiTone, sample_rate: float, duration: float) -> Signal:
     """Render a multi-tone on a uniform grid of round(duration*sample_rate) samples."""
     if not tones.components:
         raise EmptyToneError("cannot synthesize a multi-tone with no components")
+    _require_finite(sample_rate=sample_rate, duration=duration)
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    nyquist = sample_rate / 2.0
-    for comp in tones.components:
-        if comp.frequency >= nyquist:
-            raise AliasingError(
-                f"tone at {comp.frequency} Hz is at or above Nyquist ({nyquist} Hz)"
-            )
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
-    out = np.zeros(n)
+    _check_below_nyquist(tones.frequencies, sample_rate)
+    t = _time_grid(sample_rate, duration)
+    out = np.zeros(t.size)
     for comp in tones.components:
         out += comp.amplitude * np.cos(2.0 * math.pi * comp.frequency * t + comp.phase)
     return Signal(out, sample_rate)
+
+
+def _check_below_nyquist(frequencies: np.ndarray, sample_rate: float) -> None:
+    nyquist = sample_rate / 2.0
+    above = frequencies[frequencies >= nyquist]
+    if above.size:
+        raise AliasingError(f"tone at {above[0]} Hz is at or above Nyquist ({nyquist} Hz)")
+
+
+def _time_grid(sample_rate: float, duration: float) -> np.ndarray:
+    return np.arange(int(round(duration * sample_rate))) / sample_rate
 
 
 def harmonic_stack(f0: float, n_harmonics: int, amplitudes: Sequence[float]) -> MultiTone:
@@ -194,33 +224,28 @@ def harmonic_stack(f0: float, n_harmonics: int, amplitudes: Sequence[float]) -> 
     return MultiTone(comps)
 
 
-def _standard_normal(rng: np.random.Generator) -> float:
-    # Box-Muller on two uniform draws; fixed transform so draws are
-    # reproducible from the PCG64 bit stream alone.
-    u1 = 1.0 - rng.random()  # (0, 1]
-    u2 = rng.random()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     """Draw a labeled set per the dataset geometry; deterministic given seed.
 
-    Draw order is class-major then sample-major, one normal frequency draw per
-    sample (two uniforms each via Box-Muller).
+    Rows are class-major then sample-major, one normal frequency draw per row
+    via Box-Muller over two consecutive uniforms, so the frequencies are a
+    fixed function of the PCG64 bit stream. Each row equals
+    ``synthesize(MultiTone([CosineComponent(1.0, f)]), ...)`` plus its class's
+    ``dc_map`` offset, bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    inputs: list = []
-    labels: list = []
-    freqs: list = []
-    for c, mean in enumerate(spec.class_means):
-        offset = float(spec.dc_map[c]) if spec.dc_map is not None else 0.0
-        for _ in range(spec.samples_per_class):
-            f = mean + spec.freq_std * _standard_normal(rng)
-            tone = MultiTone([CosineComponent(1.0, f, 0.0)])
-            sig = synthesize(tone, spec.sample_rate, spec.duration)
-            if offset != 0.0:
-                sig = Signal(sig.samples + offset, spec.sample_rate)
-            inputs.append(sig)
-            labels.append(c)
-            freqs.append(f)
-    return LabeledSet(inputs, labels, freqs)
+    labels = np.repeat(np.arange(spec.n_classes), spec.samples_per_class)
+    uniforms = rng.random(2 * labels.size)
+    u1 = 1.0 - uniforms[0::2]  # (0, 1]
+    u2 = uniforms[1::2]
+    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    freqs = np.array(spec.class_means)[labels] + spec.freq_std * normals
+    if np.any(freqs < 0):
+        raise ValueError("a drawn frequency is negative; raise the class means")
+    _check_below_nyquist(freqs, spec.sample_rate)
+    inputs = (2.0 * math.pi * freqs)[:, None] * _time_grid(spec.sample_rate, spec.duration)
+    np.cos(inputs, out=inputs)
+    if spec.dc_map is not None:
+        offsets = np.array([float(spec.dc_map[c]) for c in range(spec.n_classes)])
+        inputs += offsets[labels, None]
+    return LabeledSet(inputs, labels, spec.sample_rate, freqs)

@@ -20,7 +20,13 @@ from .multitone import CosineComponent, MultiTone, Signal, synthesize
 
 @dataclass(frozen=True)
 class TaylorConfig:
-    """Series truncation and the amplitude prescale applied before evaluation."""
+    """Series truncation and the amplitude prescale applied before evaluation.
+
+    Scaling down by ``prescale`` and back up is a no-op in exact arithmetic
+    but not in floating point: on the default ``approx`` probe, prescale 1e-4
+    and 1 differ by up to ~1.9e22 where the series diverges. The bytes of
+    ``approx_time.csv`` depend on it, so the prescale stays.
+    """
 
     n_terms: int = 50
     prescale: float = 1e-4
@@ -28,8 +34,8 @@ class TaylorConfig:
     def __post_init__(self) -> None:
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
-        if self.prescale <= 0:
-            raise ValueError(f"prescale must be > 0, got {self.prescale}")
+        if not 0 < self.prescale < math.inf:
+            raise ValueError(f"prescale must be finite and > 0, got {self.prescale}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,8 @@ def approximate_relu(
 
     Amplitudes are scaled by cfg.prescale before evaluation and the result is
     scaled back, mirroring the procedure the approximation is defined with.
+    The round trip is kept because it is not bitwise neutral and the
+    ``approx_time.csv`` artifact depends on it (see TaylorConfig).
     The fluctuation is invariant under that scaling, so the report flags any
     samples with |u| >= 1 where the truncated series is unreliable; no
     clamping is applied there.

@@ -87,10 +87,7 @@ class AdamState:
     first_moment: List[Dict[str, np.ndarray]]
     second_moment: List[Dict[str, np.ndarray]]
     step_count: int
-    lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
+    hyper: AdamHyper
 
 
 @dataclass
@@ -116,16 +113,23 @@ class NetComparison:
     distance_median: np.ndarray  # (n_conv_layers, epochs + 1)
     distance_q25: np.ndarray
     distance_q75: np.ndarray
-    final_losses: np.ndarray
+    final_losses: np.ndarray  # empty when no epoch ran
     final_conv_distances: np.ndarray  # L2 over all conv parameters, per repetition
     final_accuracies: np.ndarray
 
 
 @dataclass
 class ComparisonReport:
+    """Per-variant training curves plus every setting the variants ran with."""
+
     n_repetitions: int
     base_seed: int
     epochs: int
+    batch_size: int
+    adam_hyper: AdamHyper
+    dataset_spec: DatasetSpec
+    dc_levels: Dict[int, float]
+    architectures: Dict[str, Architecture]
     nets: Dict[str, NetComparison]
 
 
@@ -190,18 +194,6 @@ def _conv_backward(
     return dw, dx.transpose(1, 0, 2)
 
 
-def _stack_batch(batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray):
-        x = np.asarray(batch, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("array batch must have shape (batch, length)")
-        return x
-    lengths = {len(sig) for sig in batch}
-    if len(lengths) != 1:
-        raise ValueError("all signals in a batch must share one length")
-    return np.stack([sig.samples for sig in batch])
-
-
 # ---------------------------------------------------------------------------
 # network construction and the forward/backward pair
 
@@ -235,10 +227,12 @@ def init_network(arch: Architecture, seed: int) -> Network:
     return Network(arch, params, seed)
 
 
-def forward(net: Network, batch) -> Tuple[np.ndarray, dict]:
-    """Class logits for a batch plus the cache backward() needs."""
+def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
+    """Class logits for a (batch, length) array plus the cache backward() needs."""
     arch = net.architecture
-    x = _stack_batch(batch)
+    x = np.asarray(batch, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("batch must have shape (batch, length)")
     if x.shape[1] != arch.input_length:
         raise ValueError(
             f"batch length {x.shape[1]} does not match input_length {arch.input_length}"
@@ -347,15 +341,7 @@ def _check_shapes(a, b, what: str) -> None:
 
 
 def init_adam_state(params, hyper: AdamHyper = AdamHyper()) -> AdamState:
-    return AdamState(
-        _zeros_like_params(params),
-        _zeros_like_params(params),
-        0,
-        hyper.lr,
-        hyper.beta1,
-        hyper.beta2,
-        hyper.epsilon,
-    )
+    return AdamState(_zeros_like_params(params), _zeros_like_params(params), 0, hyper)
 
 
 def adam_step(
@@ -365,7 +351,8 @@ def adam_step(
     _check_shapes(params, grads, "adam_step")
     _check_shapes(params, state.first_moment, "adam_step moments")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    hyper = state.hyper
+    b1, b2 = hyper.beta1, hyper.beta2
     m_corr = 1.0 - b1**t
     v_corr = 1.0 - b2**t
     new_m, new_v, new_p = [], [], []
@@ -376,12 +363,11 @@ def adam_step(
             m = b1 * m_l[k] + (1.0 - b1) * g
             v = b2 * v_l[k] + (1.0 - b2) * g * g
             nm[k], nv[k] = m, v
-            npar[k] = p_l[k] - state.lr * (m / m_corr) / (np.sqrt(v / v_corr) + state.epsilon)
+            npar[k] = p_l[k] - hyper.lr * (m / m_corr) / (np.sqrt(v / v_corr) + hyper.epsilon)
         new_m.append(nm)
         new_v.append(nv)
         new_p.append(npar)
-    next_state = AdamState(new_m, new_v, t, state.lr, b1, b2, state.epsilon)
-    return next_state, new_p
+    return AdamState(new_m, new_v, t, hyper), new_p
 
 
 def weight_distance(w0, wi) -> List[float]:
@@ -415,8 +401,7 @@ def train(
         raise ValueError("trainset must be non-empty")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    x = _stack_batch(trainset.inputs)
-    y = np.asarray(trainset.labels, dtype=int)
+    x, y = trainset.inputs, trainset.labels
     rng = np.random.Generator(np.random.PCG64(seed))
     n_conv = len(net.architecture.conv_layers)
     w0 = [{k: v.copy() for k, v in layer.items()} for layer in net.parameters]
@@ -495,14 +480,7 @@ def run_comparison(
         raise ValueError("n_repetitions must be >= 1")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     levels = dict(DEFAULT_DC_LEVELS if dc_levels is None else dc_levels)
-    spec_dc = DatasetSpec(
-        spec.class_means,
-        spec.freq_std,
-        spec.samples_per_class,
-        spec.sample_rate,
-        spec.duration,
-        levels,
-    )
+    spec_dc = replace(spec, dc_map=levels)
     master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 7))
     variants = {
@@ -540,11 +518,14 @@ def run_comparison(
             distance_median=np.median(dists, axis=0),
             distance_q25=np.quantile(dists, 0.25, axis=0),
             distance_q75=np.quantile(dists, 0.75, axis=0),
-            final_losses=losses[:, -1] if epochs > 0 else np.zeros(n_repetitions),
+            final_losses=losses[:, -1] if epochs > 0 else np.empty(0),
             final_conv_distances=final_total,
             final_accuracies=np.array([r.final_accuracy for r in recs]),
         )
-    return ComparisonReport(n_repetitions, base_seed, epochs, nets)
+    architectures = {name: variant[0] for name, variant in variants.items()}
+    return ComparisonReport(
+        n_repetitions, base_seed, epochs, batch_size, adam_hyper, spec, levels, architectures, nets
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +557,10 @@ def zero_train_eval(
         raise ValueError("dataset must be non-empty")
     if dataset.frequencies is None:
         raise ValueError("dataset must carry per-sample frequencies")
-    rates = {sig.sample_rate for sig in dataset.inputs}
-    if len(rates) != 1:
-        raise ValueError("all signals must share one sample rate")
-    fs = rates.pop()
 
-    x = _stack_batch(dataset.inputs)
-    conv = _conv_forward(x[:, None, :], taps[None, None, :])[:, 0, :]
+    conv = _conv_forward(dataset.inputs[:, None, :], taps[None, None, :])[:, 0, :]
     dcs = np.maximum(conv, 0.0).mean(axis=1)
-    labels = np.asarray(dataset.labels, dtype=int)
-    freqs = np.asarray(dataset.frequencies, dtype=float)
+    labels, freqs = dataset.labels, dataset.frequencies
 
     classes = np.unique(labels)
     counts = np.array([int(np.sum(labels == c)) for c in classes])
@@ -594,7 +569,7 @@ def zero_train_eval(
     std_dcs = np.array(
         [dcs[labels == c].std(ddof=1) if n > 1 else 0.0 for c, n in zip(classes, counts)]
     )
-    gains = fir_response(Kernel(taps), mean_freqs, fs).gains
+    gains = fir_response(Kernel(taps), mean_freqs, dataset.sample_rate).gains
     predicted = classes[np.argmin(np.abs(dcs[:, None] - mean_dcs[None, :]), axis=1)]
     accuracy = float(np.mean(predicted == labels))
     return ZeroTrainReport(

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from relufreq import trainer
 from relufreq.cli import RunManifest, emit_csv, emit_manifest, run
+from relufreq.multitone import DatasetSpec
+from relufreq.trainer import AdamHyper, Architecture, ConvLayerSpec, default_dataset_spec
 
 
 def read(path):
@@ -79,6 +82,40 @@ class TestDispatcher:
     def test_missing_subcommand_exits_2(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heart-demo", "--hr", "nan"],
+            ["approx", "--f0", "nan"],
+            ["approx", "--fs", "inf"],
+            ["zero-train", "--kernel", "nan,1"],
+        ],
+    )
+    def test_non_finite_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
+        out = tmp_path / "nf"
+        assert run(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: ValueError" in captured.err
+        assert captured.out == ""
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--harmonics", "1", "--fs", "64"],
+            ["proto", "--kind", "avg", "--depth", "2"],
+            ["heart-demo"],
+            ["train-compare", "--reps", "1", "--epochs", "1"],
+            ["zero-train"],
+        ],
+    )
+    def test_manifest_lists_exactly_the_written_files(self, argv, tmp_path, capsys):
+        out = tmp_path / "files"
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        listed = json.loads(read(out / "manifest.json"))["output_files"]
+        assert sorted(listed + ["manifest.json"]) == sorted(p.name for p in out.iterdir())
 
 
 class TestCoeffs:
@@ -217,6 +254,36 @@ class TestTrainCompare:
         assert manifest["full_config"]["adam"]["lr"] == 1e-3
         assert manifest["full_config"]["adam"]["epsilon"] == 1e-8
         assert set(manifest["results"]) == {"relu", "linear", "linear_dc"}
+
+    def test_manifest_round_trips_to_what_trained(self, tmp_path, monkeypatch):
+        trained = []
+        init_network = trainer.init_network
+
+        def recording_init(arch, seed):
+            trained.append(arch)
+            return init_network(arch, seed)
+
+        monkeypatch.setattr(trainer, "init_network", recording_init)
+        out = tmp_path / "rt"
+        assert run(["train-compare", "--reps", "1", "--epochs", "1", "--out", str(out)]) == 0
+        config = json.loads(read(out / "manifest.json"))["full_config"]
+        rebuilt = []
+        for name in config["networks"]:
+            fields = dict(config["architectures"][name])
+            layers = tuple(ConvLayerSpec(**layer) for layer in fields.pop("conv_layers"))
+            rebuilt.append(Architecture(conv_layers=layers, **fields))
+        assert rebuilt == trained
+        assert rebuilt[0].flatten_mode == "global_average"
+        assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
+        assert AdamHyper(**config["adam"]) == AdamHyper()
+
+    def test_zero_epochs_report_no_final_loss(self, tmp_path):
+        out = tmp_path / "e0"
+        assert run(["train-compare", "--reps", "1", "--epochs", "0", "--out", str(out)]) == 0
+        results = json.loads(read(out / "manifest.json"))["results"]
+        for entry in results.values():
+            assert "median_final_loss" not in entry
+            assert set(entry) == {"median_final_accuracy", "median_final_conv_distance"}
 
 
 class TestZeroTrain:

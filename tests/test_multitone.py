@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,40 @@ def test_signal_validation():
         Signal(np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CosineComponent(math.nan, 1.0),
+        lambda: CosineComponent(1.0, math.inf),
+        lambda: CosineComponent(1.0, 1.0, math.nan),
+        lambda: Signal(np.array([1.0]), math.inf),
+        lambda: synthesize(MultiTone([CosineComponent(1.0, 1.0)]), math.inf, 1.0),
+        lambda: synthesize(MultiTone([CosineComponent(1.0, 1.0)]), 8.0, math.nan),
+        lambda: DatasetSpec((3.0, math.nan), 0.1, 10, 64.0, 1.0),
+        lambda: DatasetSpec((3.0, 5.0), math.nan, 10, 64.0, 1.0),
+        lambda: DatasetSpec((3.0, 5.0), 0.1, 10, math.inf, 1.0),
+        lambda: DatasetSpec((3.0, 5.0), 0.1, 10, 64.0, math.inf),
+        lambda: DatasetSpec((3.0, 5.0), 0.1, 10, 64.0, 1.0, {0: 0.0, 1: math.nan}),
+    ],
+    ids=[
+        "amplitude",
+        "frequency",
+        "phase",
+        "signal_rate",
+        "synth_rate",
+        "synth_duration",
+        "class_mean",
+        "freq_std",
+        "spec_rate",
+        "spec_duration",
+        "dc_map",
+    ],
+)
+def test_non_finite_values_are_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 class TestDatasetSpec:
     def test_rejects_unsorted_means(self):
         with pytest.raises(ValueError):
@@ -152,13 +188,13 @@ class TestSampleDataset:
         assert len(a) == 60
         assert [int(np.sum(np.array(a.labels) == c)) for c in range(3)] == [20, 20, 20]
         for sa, sb in zip(a.inputs, b.inputs):
-            assert np.array_equal(sa.samples, sb.samples)
-        assert a.frequencies == b.frequencies
+            assert np.array_equal(sa, sb)
+        assert np.array_equal(a.frequencies, b.frequencies)
 
     def test_different_seeds_differ(self):
         a = sample_dataset(self.spec, seed=1)
         b = sample_dataset(self.spec, seed=2)
-        assert a.frequencies != b.frequencies
+        assert not np.array_equal(a.frequencies, b.frequencies)
 
     def test_zero_std_yields_identical_class_signals(self):
         spec = DatasetSpec((3.0, 5.0), 0.0, 5, 64.0, 1.0)
@@ -166,14 +202,40 @@ class TestSampleDataset:
         ref = synthesize(MultiTone([CosineComponent(1.0, 3.0)]), 64.0, 1.0)
         for sig, label in zip(ds.inputs, ds.labels):
             if label == 0:
-                assert np.array_equal(sig.samples, ref.samples)
+                assert np.array_equal(sig, ref.samples)
 
     def test_dc_map_shifts_class_means(self):
         spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 300, 64.0, 1.0, {0: 1.0, 1: 2.0, 2: 3.0})
         ds = sample_dataset(spec, seed=42)
         labels = np.array(ds.labels)
-        means = np.array([sig.samples.mean() for sig in ds.inputs])
+        means = np.array([sig.mean() for sig in ds.inputs])
         for c in range(3):
             vals = means[labels == c]
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - (c + 1.0)) < 3.0 * se
+
+
+def box_muller_reference(spec, seed):
+    """Scalar draws: class-major, two uniforms per sample, u1 taken from (0, 1]."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    freqs = []
+    for mean in spec.class_means:
+        for _ in range(spec.samples_per_class):
+            u1 = 1.0 - rng.random()
+            u2 = rng.random()
+            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+            freqs.append(mean + spec.freq_std * z)
+    return freqs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 2])
+@pytest.mark.parametrize("dc_map", [None, {0: 1.0, 1: 2.0, 2: 3.0}])
+def test_sample_dataset_rows_match_scalar_synthesis(seed, dc_map):
+    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 20, 64.0, 1.0, dc_map)
+    ds = sample_dataset(spec, seed)
+    assert np.array_equal(ds.frequencies, box_muller_reference(spec, seed))
+    assert ds.sample_rate == spec.sample_rate
+    for row, f, label in zip(ds.inputs, ds.frequencies, ds.labels):
+        tone = synthesize(MultiTone([CosineComponent(1.0, f)]), spec.sample_rate, spec.duration)
+        offset = dc_map[label] if dc_map is not None else 0.0
+        assert np.array_equal(row, tone.samples + offset)

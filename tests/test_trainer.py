@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relufreq import (
     AdamHyper,
@@ -11,7 +13,6 @@ from relufreq import (
     DatasetSpec,
     Kernel,
     LabeledSet,
-    Signal,
     adam_step,
     backward,
     dc_model,
@@ -25,7 +26,7 @@ from relufreq import (
     weight_distance,
     zero_train_eval,
 )
-from relufreq.trainer import _comparison_architecture, default_dataset_spec
+from relufreq.trainer import _comparison_architecture, _conv_forward, default_dataset_spec
 
 SMALL_ARCH = Architecture(
     (ConvLayerSpec(3, 3, "relu"), ConvLayerSpec(2, 3, "relu")),
@@ -64,6 +65,35 @@ class TestInitNetwork:
             assert np.all(layer["b"] == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_conv_matches_np_convolve(b, c, o, k, extra, seed):
+    """The trainer's tap-loop conv equals the per-channel sum of np.convolve.
+
+    convnets.conv1d stays a separate np.convolve call: routing the prototype
+    stacks through this conv sums the taps in another order and moves the
+    proto and heart-demo artifacts by about 1e-15, so they would no longer
+    be byte-identical.
+    """
+    rng = np.random.default_rng(seed)
+    length = k + extra
+    x = rng.uniform(-1.0, 1.0, (b, c, length))
+    w = rng.uniform(-1.0, 1.0, (o, c, k))
+    expected = np.zeros((b, o, length))
+    for bi in range(b):
+        for oi in range(o):
+            for ci in range(c):
+                expected[bi, oi] += np.convolve(x[bi, ci], w[oi, ci])[:length]
+    np.testing.assert_allclose(_conv_forward(x, w), expected, rtol=1e-12, atol=1e-12)
+
+
 class TestForward:
     def test_zero_parameters_give_zero_logits_and_log3_loss(self):
         net = init_network(SMALL_ARCH, 0)
@@ -93,13 +123,13 @@ class TestForward:
         lb, _ = forward(net, x)
         assert np.array_equal(la, lb)
 
-    def test_accepts_signal_lists_and_checks_length(self):
+    def test_accepts_array_batches_and_checks_length(self):
         net = init_network(SMALL_ARCH, 5)
-        sigs = [Signal(np.arange(16.0), 16.0), Signal(np.ones(16), 16.0)]
-        logits, _ = forward(net, sigs)
+        batch = np.stack([np.arange(16.0), np.ones(16)])
+        logits, _ = forward(net, batch)
         assert logits.shape == (2, 3)
         with pytest.raises(ValueError):
-            forward(net, [Signal(np.ones(8), 8.0)])
+            forward(net, np.ones((1, 8)))
 
 
 class TestLoss:
@@ -293,10 +323,9 @@ class TestWeightDistance:
 
 def toy_separable_set(n_per_class=16, length=16):
     # constant +1 vs constant -1 signals: separable by the first conv bias path
-    inputs = [Signal(np.full(length, 1.0), float(length)) for _ in range(n_per_class)]
-    inputs += [Signal(np.full(length, -1.0), float(length)) for _ in range(n_per_class)]
+    inputs = np.repeat([[1.0], [-1.0]], n_per_class, axis=0) * np.ones(length)
     labels = [0] * n_per_class + [1] * n_per_class
-    return LabeledSet(inputs, labels)
+    return LabeledSet(inputs, labels, float(length))
 
 
 class TestTrain:
@@ -342,6 +371,13 @@ class TestRunComparison:
             assert np.array_equal(net.loss_median, net.loss_q75)
             assert net.distance_median.shape == (2, 3)
             assert net.final_losses.shape == (1,)
+
+    def test_zero_epochs_leave_final_losses_empty(self):
+        spec = DatasetSpec((3.0, 5.0), 0.1, 4, 64.0, 1.0)
+        report = run_comparison(1, 0, epochs=0, batch_size=8, dataset_spec=spec)
+        for net in report.nets.values():
+            assert net.final_losses.size == 0
+            assert net.loss_median.shape == (0,)
 
     def test_deterministic_given_base_seed(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, 8, 64.0, 1.0)
@@ -427,6 +463,6 @@ class TestZeroTrain:
             zero_train_eval(ds, kernel=Kernel(np.array([1.0, 2.0])), seed=1)
         with pytest.raises(ValueError):
             zero_train_eval(ds, kernel=Kernel(np.array([1.0, 2.0, 3.0])))
-        no_freqs = LabeledSet(ds.inputs, ds.labels)
+        no_freqs = LabeledSet(ds.inputs, ds.labels, ds.sample_rate)
         with pytest.raises(ValueError):
             zero_train_eval(no_freqs, kernel=Kernel(np.array([1.0, 2.0])))
