@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .errors import (
     AliasingError,
     DegenerateInputError,
+    DivergenceError,
     EmptyToneError,
     NonZeroPhaseError,
     ReluFreqError,
@@ -71,6 +72,7 @@ from .trainer import (
     forward,
     init_adam_state,
     init_network,
+    layer_views,
     loss_sparse_ce,
     run_comparison,
     train,

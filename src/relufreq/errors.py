@@ -23,3 +23,7 @@ class NonZeroPhaseError(ReluFreqError):
 
 class DegenerateInputError(ReluFreqError):
     """All component amplitudes are zero; the mean power is not positive."""
+
+
+class DivergenceError(ReluFreqError):
+    """Training produced a non-finite loss."""

@@ -1,7 +1,9 @@
 """Trainable 1-D CNNs with manual gradients and Adam, plus the zero-training classifier.
 
-Parameters are a list of per-layer dicts {"w": array, "b": array}: the conv
-layers in order, then the hidden dense layer, then the output dense layer.
+A network's parameters are one float64 vector ``theta``: the conv layers in
+order, then the hidden dense layer, then the output dense layer, each layer's
+taps before its biases. Gradients and Adam moments are vectors of the same
+layout; ``layer_views`` turns any of them into per-layer {"w", "b"} views.
 All operations are pure functions of their inputs and seeds.
 """
 
@@ -9,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .convnets import Kernel, fir_response
+from .errors import DivergenceError
 from .multitone import DatasetSpec, LabeledSet, sample_dataset
 
 RELU = "relu"
@@ -61,11 +66,44 @@ class Architecture:
             raise ValueError("input_length shorter than a conv kernel")
 
 
+@lru_cache(maxsize=128)
+def _layout(arch: Architecture) -> Tuple[int, Tuple[Tuple[slice, Tuple[int, ...], slice], ...]]:
+    """Length of theta and, per layer, its taps slice, taps shape and bias slice.
+
+    The only code that knows the parameter layout: conv taps are (filters,
+    in_channels, kernel_size), dense taps (d_in, d_out), biases follow taps.
+    """
+    channels = [1] + [spec.filters for spec in arch.conv_layers]
+    feat_dim = channels[-1] * (arch.input_length if arch.flatten_mode == "flatten" else 1)
+    units = [(s.filters, (s.filters, c, s.kernel_size)) for s, c in zip(arch.conv_layers, channels)]
+    for d_in, d_out in ((feat_dim, arch.hidden_units), (arch.hidden_units, arch.n_classes)):
+        units.append((d_out, (d_in, d_out)))
+    layers, offset = [], 0
+    for n_bias, taps_shape in units:
+        end = offset + math.prod(taps_shape)
+        layers.append((slice(offset, end), taps_shape, slice(end, end + n_bias)))
+        offset = end + n_bias
+    return offset, tuple(layers)
+
+
+def layer_views(arch: Architecture, theta: np.ndarray) -> List[Dict[str, np.ndarray]]:
+    """Per-layer {"w", "b"} views into a parameter-layout vector (writes go through)."""
+    size, layers = _layout(arch)
+    if np.shape(theta) != (size,):
+        raise ValueError(f"expected a parameter vector of shape ({size},), got {np.shape(theta)}")
+    return [{"w": theta[taps].reshape(shape), "b": theta[bias]} for taps, shape, bias in layers]
+
+
 @dataclass
 class Network:
     architecture: Architecture
-    parameters: List[Dict[str, np.ndarray]]
+    theta: np.ndarray
     seed: int
+
+    @property
+    def parameters(self) -> List[Mapping[str, np.ndarray]]:
+        """Read-only per-layer mappings of views into theta."""
+        return [MappingProxyType(layer) for layer in layer_views(self.architecture, self.theta)]
 
 
 @dataclass(frozen=True)
@@ -78,14 +116,14 @@ class AdamHyper:
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.lr <= 0 or self.epsilon <= 0:
-            raise ValueError("lr and epsilon must be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.lr, self.epsilon)):
+            raise ValueError("lr and epsilon must be finite and > 0")
 
 
 @dataclass
 class AdamState:
-    first_moment: List[Dict[str, np.ndarray]]
-    second_moment: List[Dict[str, np.ndarray]]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int
     hyper: AdamHyper
 
@@ -100,7 +138,6 @@ class TrainingRecord:
 
     epoch_losses: List[float]
     weight_distances: List[List[float]]  # one list per conv layer
-    head_distances: List[List[float]]  # dense layers, recorded but secondary
     final_accuracy: float
 
 
@@ -205,26 +242,11 @@ def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
 def init_network(arch: Architecture, seed: int) -> Network:
     """Weights uniform in [-sqrt(1/fan_in), sqrt(1/fan_in)], biases zero."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    params: List[Dict[str, np.ndarray]] = []
-    in_channels = 1
-    for spec in arch.conv_layers:
-        fan_in = in_channels * spec.kernel_size
-        bound = math.sqrt(1.0 / fan_in)
-        params.append(
-            {
-                "w": _uniform(rng, (spec.filters, in_channels, spec.kernel_size), bound),
-                "b": np.zeros(spec.filters),
-            }
-        )
-        in_channels = spec.filters
-    if arch.flatten_mode == "flatten":
-        feat_dim = in_channels * arch.input_length
-    else:
-        feat_dim = in_channels
-    for d_in, d_out in ((feat_dim, arch.hidden_units), (arch.hidden_units, arch.n_classes)):
-        bound = math.sqrt(1.0 / d_in)
-        params.append({"w": _uniform(rng, (d_in, d_out), bound), "b": np.zeros(d_out)})
-    return Network(arch, params, seed)
+    theta = np.zeros(_layout(arch)[0])
+    for layer in layer_views(arch, theta):
+        fan_in = layer["w"].size // layer["b"].size  # taps feeding each output unit
+        layer["w"][...] = _uniform(rng, layer["w"].shape, math.sqrt(1.0 / fan_in))
+    return Network(arch, theta, seed)
 
 
 def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
@@ -237,7 +259,7 @@ def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
         raise ValueError(
             f"batch length {x.shape[1]} does not match input_length {arch.input_length}"
         )
-    params = net.parameters
+    params = layer_views(arch, net.theta)
     acts = x[:, None, :]
     conv_caches = []
     for i, spec in enumerate(arch.conv_layers):
@@ -253,7 +275,7 @@ def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
     hidden = np.maximum(hidden_pre, 0.0)
     logits = hidden @ params[n_conv + 1]["w"] + params[n_conv + 1]["b"]
     cache = {
-        "params": params,
+        "theta": net.theta,
         "conv": conv_caches,
         "conv_out_shape": acts.shape,
         "feat": feat,
@@ -281,12 +303,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def backward(net: Network, cache: dict, labels) -> List[Dict[str, np.ndarray]]:
-    """Gradients of loss_sparse_ce w.r.t. every parameter, matching their layout."""
-    if cache.get("params") is not net.parameters:
+def backward(net: Network, cache: dict, labels) -> np.ndarray:
+    """Gradient of loss_sparse_ce w.r.t. theta, as a vector of theta's layout."""
+    if cache.get("theta") is not net.theta:
         raise ValueError("stale cache: forward was run with different parameters")
     arch = net.architecture
-    params = net.parameters
+    params = layer_views(arch, net.theta)
+    grad = np.zeros_like(net.theta)
+    grads = layer_views(arch, grad)
     labels = np.asarray(labels, dtype=int)
     batch = labels.size
     n_conv = len(arch.conv_layers)
@@ -295,13 +319,12 @@ def backward(net: Network, cache: dict, labels) -> List[Dict[str, np.ndarray]]:
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
 
-    grads: List[Optional[Dict[str, np.ndarray]]] = [None] * len(params)
-    hidden = cache["hidden"]
-    grads[n_conv + 1] = {"w": hidden.T @ dlogits, "b": dlogits.sum(axis=0)}
+    grads[n_conv + 1]["w"][...] = cache["hidden"].T @ dlogits
+    grads[n_conv + 1]["b"][...] = dlogits.sum(axis=0)
     dhidden = dlogits @ params[n_conv + 1]["w"].T
     dhidden_pre = dhidden * (cache["hidden_pre"] > 0)
-    feat = cache["feat"]
-    grads[n_conv] = {"w": feat.T @ dhidden_pre, "b": dhidden_pre.sum(axis=0)}
+    grads[n_conv]["w"][...] = cache["feat"].T @ dhidden_pre
+    grads[n_conv]["b"][...] = dhidden_pre.sum(axis=0)
     dfeat = dhidden_pre @ params[n_conv]["w"].T
 
     out_shape = cache["conv_out_shape"]
@@ -315,77 +338,43 @@ def backward(net: Network, cache: dict, labels) -> List[Dict[str, np.ndarray]]:
             dpre = dacts * (layer_cache["pre"] > 0)
         else:
             dpre = np.asarray(dacts)
-        dw, dx = _conv_backward(layer_cache["input"], params[i]["w"], dpre)
-        grads[i] = {"w": dw, "b": dpre.sum(axis=(0, 2))}
-        dacts = dx
-    return grads  # type: ignore[return-value]
+        grads[i]["w"][...], dacts = _conv_backward(layer_cache["input"], params[i]["w"], dpre)
+        grads[i]["b"][...] = dpre.sum(axis=(0, 2))
+    return grad
 
 
 # ---------------------------------------------------------------------------
 # optimization
 
 
-def _zeros_like_params(params) -> List[Dict[str, np.ndarray]]:
-    return [{k: np.zeros_like(v) for k, v in layer.items()} for layer in params]
+def _check_same_shape(what: str, first: np.ndarray, *others: np.ndarray) -> None:
+    if any(np.shape(other) != np.shape(first) for other in others):
+        raise ValueError(f"{what}: shape mismatch")
 
 
-def _check_shapes(a, b, what: str) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"{what}: layer count mismatch")
-    for la, lb in zip(a, b):
-        if la.keys() != lb.keys():
-            raise ValueError(f"{what}: key mismatch")
-        for k in la:
-            if la[k].shape != lb[k].shape:
-                raise ValueError(f"{what}: shape mismatch on {k}")
-
-
-def init_adam_state(params, hyper: AdamHyper = AdamHyper()) -> AdamState:
-    return AdamState(_zeros_like_params(params), _zeros_like_params(params), 0, hyper)
+def init_adam_state(theta: np.ndarray, hyper: AdamHyper = AdamHyper()) -> AdamState:
+    return AdamState(np.zeros_like(theta), np.zeros_like(theta), 0, hyper)
 
 
 def adam_step(
-    state: AdamState, params, grads
-) -> Tuple[AdamState, List[Dict[str, np.ndarray]]]:
-    """One bias-corrected Adam update; returns the new state and parameters."""
-    _check_shapes(params, grads, "adam_step")
-    _check_shapes(params, state.first_moment, "adam_step moments")
+    state: AdamState, theta: np.ndarray, grad: np.ndarray
+) -> Tuple[AdamState, np.ndarray]:
+    """One bias-corrected Adam update; returns the new state and parameter vector."""
+    _check_same_shape("adam_step", theta, grad, state.first_moment, state.second_moment)
     t = state.step_count + 1
     hyper = state.hyper
     b1, b2 = hyper.beta1, hyper.beta2
-    m_corr = 1.0 - b1**t
-    v_corr = 1.0 - b2**t
-    new_m, new_v, new_p = [], [], []
-    for p_l, g_l, m_l, v_l in zip(params, grads, state.first_moment, state.second_moment):
-        nm, nv, npar = {}, {}, {}
-        for k in p_l:
-            g = g_l[k]
-            m = b1 * m_l[k] + (1.0 - b1) * g
-            v = b2 * v_l[k] + (1.0 - b2) * g * g
-            nm[k], nv[k] = m, v
-            npar[k] = p_l[k] - hyper.lr * (m / m_corr) / (np.sqrt(v / v_corr) + hyper.epsilon)
-        new_m.append(nm)
-        new_v.append(nv)
-        new_p.append(npar)
-    return AdamState(new_m, new_v, t, hyper), new_p
+    m = b1 * state.first_moment + (1.0 - b1) * grad
+    v = b2 * state.second_moment + (1.0 - b2) * grad * grad
+    step = hyper.lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + hyper.epsilon)
+    return AdamState(m, v, t, hyper), theta - step
 
 
-def weight_distance(w0, wi) -> List[float]:
-    """Per-layer Euclidean distance between two parameter sets (taps and biases)."""
-    _check_shapes(w0, wi, "weight_distance")
-    out = []
-    for l0, li in zip(w0, wi):
-        sq = 0.0
-        for k in l0:
-            diff = li[k] - l0[k]
-            sq += float(np.sum(diff * diff))
-        out.append(math.sqrt(sq))
-    return out
-
-
-def _accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    logits, _ = forward(net, x)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+def weight_distance(arch: Architecture, theta0: np.ndarray, theta1: np.ndarray) -> List[float]:
+    """Per-layer Euclidean distance between two parameter vectors (taps and biases)."""
+    _check_same_shape("weight_distance", theta0, theta1)
+    layers = layer_views(arch, theta1 - theta0)
+    return [math.sqrt(sum(float(np.sum(d * d)) for d in layer.values())) for layer in layers]
 
 
 def train(
@@ -399,34 +388,37 @@ def train(
     """Seeded shuffled mini-batch training; records loss and distance curves."""
     if len(trainset) == 0:
         raise ValueError("trainset must be non-empty")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     x, y = trainset.inputs, trainset.labels
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_conv = len(net.architecture.conv_layers)
-    w0 = [{k: v.copy() for k, v in layer.items()} for layer in net.parameters]
-    conv_dists: List[List[float]] = [[0.0] for _ in range(n_conv)]
-    head_dists: List[List[float]] = [[0.0] for _ in range(len(net.parameters) - n_conv)]
-    state = init_adam_state(net.parameters, adam_hyper)
+    arch = net.architecture
+    theta0 = net.theta.copy()
+    conv_dists: List[List[float]] = [[0.0] for _ in arch.conv_layers]
+    state = init_adam_state(net.theta, adam_hyper)
     current = net
     epoch_losses: List[float] = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         perm = rng.permutation(y.size)
         batch_losses = []
-        for start in range(0, y.size, batch_size):
+        for batch, start in enumerate(range(0, y.size, batch_size), 1):
             idx = perm[start : start + batch_size]
             logits, cache = forward(current, x[idx])
-            batch_losses.append(loss_sparse_ce(logits, y[idx]))
-            grads = backward(current, cache, y[idx])
-            state, new_params = adam_step(state, current.parameters, grads)
-            current = replace(current, parameters=new_params)
+            loss = loss_sparse_ce(logits, y[idx])
+            if not math.isfinite(loss):
+                raise DivergenceError(f"loss is {loss} at epoch {epoch}, batch {batch}")
+            batch_losses.append(loss)
+            grad = backward(current, cache, y[idx])
+            state, theta = adam_step(state, current.theta, grad)
+            current = replace(current, theta=theta)
         epoch_losses.append(float(np.mean(batch_losses)))
-        dists = weight_distance(w0, current.parameters)
-        for li in range(n_conv):
-            conv_dists[li].append(dists[li])
-        for hi in range(n_conv, len(dists)):
-            head_dists[hi - n_conv].append(dists[hi])
-    return TrainingRecord(epoch_losses, conv_dists, head_dists, _accuracy(current, x, y))
+        # zip stops at the conv layers; the dense-head distances are not recorded
+        for curve, dist in zip(conv_dists, weight_distance(arch, theta0, current.theta)):
+            curve.append(dist)
+    logits, _ = forward(current, x)
+    return TrainingRecord(epoch_losses, conv_dists, float(np.mean(np.argmax(logits, axis=1) == y)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +470,8 @@ def run_comparison(
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     levels = dict(DEFAULT_DC_LEVELS if dc_levels is None else dc_levels)
     spec_dc = replace(spec, dc_map=levels)

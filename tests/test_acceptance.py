@@ -42,6 +42,7 @@ from relufreq.trainer import (
     ConvLayerSpec,
     backward,
     forward,
+    layer_views,
     loss_sparse_ce,
     run_comparison,
 )
@@ -201,11 +202,11 @@ def test_c07_gradient_correctness():
             # evaluate at a generic point: biases off zero so no
             # pre-activation sits exactly on the relu kink
             for layer in net.parameters:
-                layer["b"] = layer["b"] + (rng.random(layer["b"].shape) * 0.2 - 0.1)
+                layer["b"][...] += rng.random(layer["b"].shape) * 0.2 - 0.1
             x = rng.random((6, 16)) * 2.0 - 1.0
             labels = rng.integers(0, 3, 6)
             _, cache = forward(net, x)
-            grads = backward(net, cache, labels)
+            grads = layer_views(arch, backward(net, cache, labels))
             step = 1e-5
             for li, layer in enumerate(net.parameters):
                 for key, arr in layer.items():

@@ -90,9 +90,10 @@ class TestDispatcher:
             ["approx", "--f0", "nan"],
             ["approx", "--fs", "inf"],
             ["zero-train", "--kernel", "nan,1"],
+            ["train-compare", "--reps", "1", "--epochs", "-1"],
         ],
     )
-    def test_non_finite_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
+    def test_invalid_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
         out = tmp_path / "nf"
         assert run(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -276,6 +277,22 @@ class TestTrainCompare:
         assert rebuilt[0].flatten_mode == "global_average"
         assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
         assert AdamHyper(**config["adam"]) == AdamHyper()
+
+    def test_divergence_exits_1_with_error_name(self, tmp_path, monkeypatch, capsys):
+        train = trainer.train
+
+        def diverging_train(net, trainset, epochs, batch_size, adam_hyper, seed):
+            return train(net, trainset, epochs, batch_size, AdamHyper(lr=1e305), seed)
+
+        monkeypatch.setattr(trainer, "train", diverging_train)
+        out = tmp_path / "dv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train-compare", "--reps", "1", "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: DivergenceError" in err
+        assert "epoch 1, batch 2" in err
+        assert not list(out.glob("*.csv"))
 
     def test_zero_epochs_report_no_final_loss(self, tmp_path):
         out = tmp_path / "e0"

@@ -11,6 +11,7 @@ from relufreq import (
     Architecture,
     ConvLayerSpec,
     DatasetSpec,
+    DivergenceError,
     Kernel,
     LabeledSet,
     adam_step,
@@ -19,6 +20,7 @@ from relufreq import (
     forward,
     init_adam_state,
     init_network,
+    layer_views,
     loss_sparse_ce,
     run_comparison,
     sample_dataset,
@@ -39,6 +41,26 @@ SMALL_ARCH = Architecture(
 
 def random_batch(rng, n, length):
     return rng.random((n, length)) * 2.0 - 1.0
+
+
+@st.composite
+def small_architectures(draw):
+    """1-2 conv layers of relu/linear mixes under either head, all dimensions tiny."""
+    conv = tuple(
+        ConvLayerSpec(
+            draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)),
+            draw(st.sampled_from(["relu", "linear"])),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    return Architecture(
+        conv,
+        hidden_units=draw(st.integers(1, 4)),
+        n_classes=draw(st.integers(2, 3)),
+        flatten_mode=draw(st.sampled_from(["flatten", "global_average"])),
+        input_length=draw(st.integers(3, 8)),
+    )
 
 
 class TestInitNetwork:
@@ -63,6 +85,44 @@ class TestInitNetwork:
         for layer, fan_in in zip(net.parameters, fan_ins):
             assert np.all(np.abs(layer["w"]) <= math.sqrt(1.0 / fan_in))
             assert np.all(layer["b"] == 0.0)
+
+
+class TestLayout:
+    def test_parameters_are_read_only_views_of_theta(self):
+        net = init_network(SMALL_ARCH, 2)
+        assert net.theta.dtype == np.float64 and net.theta.ndim == 1
+        layer = net.parameters[0]
+        with pytest.raises(TypeError):
+            layer["b"] = np.ones(3)
+        layer["b"][...] = 7.0
+        assert np.count_nonzero(net.theta == 7.0) == 3
+
+    def test_wrong_length_vector_rejected(self):
+        theta = init_network(SMALL_ARCH, 2).theta
+        with pytest.raises(ValueError):
+            layer_views(SMALL_ARCH, theta[:-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_architectures())
+def test_layer_views_tile_the_vector_in_order(arch):
+    """Views of arange(size) come taps-then-bias, layer by layer, and cover it once."""
+    channels = [1] + [spec.filters for spec in arch.conv_layers]
+    feat = channels[-1] * (arch.input_length if arch.flatten_mode == "flatten" else 1)
+    shapes = [
+        ((spec.filters, c, spec.kernel_size), (spec.filters,))
+        for spec, c in zip(arch.conv_layers, channels)
+    ]
+    shapes += [((feat, arch.hidden_units), (arch.hidden_units,))]
+    shapes += [((arch.hidden_units, arch.n_classes), (arch.n_classes,))]
+    size = sum(math.prod(w) + math.prod(b) for w, b in shapes)
+    assert init_network(arch, 0).theta.shape == (size,)
+    theta = np.arange(size)
+    views = layer_views(arch, theta)
+    assert [(layer["w"].shape, layer["b"].shape) for layer in views] == shapes
+    flat = [v.ravel() for layer in views for v in (layer["w"], layer["b"])]
+    assert np.array_equal(np.concatenate(flat), theta)
+    assert all(np.shares_memory(v, theta) for v in flat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,10 +157,7 @@ def test_batched_conv_matches_np_convolve(b, c, o, k, extra, seed):
 class TestForward:
     def test_zero_parameters_give_zero_logits_and_log3_loss(self):
         net = init_network(SMALL_ARCH, 0)
-        zeroed = [
-            {k: np.zeros_like(v) for k, v in layer.items()} for layer in net.parameters
-        ]
-        net = replace(net, parameters=zeroed)
+        net = replace(net, theta=np.zeros_like(net.theta))
         rng = np.random.default_rng(0)
         logits, _ = forward(net, random_batch(rng, 4, 16))
         assert np.array_equal(logits, np.zeros((4, 3)))
@@ -161,7 +218,7 @@ class TestLoss:
 
 def finite_difference_max_relative_error(net, x, labels, step=1e-5):
     logits, cache = forward(net, x)
-    grads = backward(net, cache, labels)
+    grads = layer_views(net.architecture, backward(net, cache, labels))
     worst = 0.0
     for li, layer in enumerate(net.parameters):
         for key, arr in layer.items():
@@ -183,7 +240,7 @@ def finite_difference_max_relative_error(net, x, labels, step=1e-5):
 def generic_point(net, rng):
     """Push biases off zero so no pre-activation sits exactly on a relu kink."""
     for layer in net.parameters:
-        layer["b"] = layer["b"] + (rng.random(layer["b"].shape) * 0.2 - 0.1)
+        layer["b"][...] += rng.random(layer["b"].shape) * 0.2 - 0.1
     return net
 
 
@@ -211,16 +268,14 @@ class TestBackward:
     def test_saturated_batch_has_vanishing_gradients(self):
         net = init_network(SMALL_ARCH, 7)
         # force huge correct-class margins through the output bias
-        net.parameters[-1]["b"] = np.array([100.0, 0.0, 0.0])
+        net.parameters[-1]["b"][...] = [100.0, 0.0, 0.0]
         rng = np.random.default_rng(3)
         x = random_batch(rng, 4, 16)
         logits, cache = forward(net, x)
         assert np.all(logits[:, 0] - logits[:, 1:].max(axis=1) > 20.0)
-        grads = backward(net, cache, np.zeros(4, dtype=int))
-        total = math.sqrt(
-            sum(float(np.sum(g[k] ** 2)) for g in grads for k in g)
-        )
-        assert total < 1e-6
+        grad = backward(net, cache, np.zeros(4, dtype=int))
+        assert grad.shape == net.theta.shape
+        assert math.sqrt(float(np.sum(grad**2))) < 1e-6
 
     def test_linear_conv_preactivations_scale_with_input(self):
         arch = Architecture(
@@ -248,77 +303,103 @@ class TestBackward:
             backward(other, cache, [0, 1])
 
 
+@settings(max_examples=25, deadline=None)
+@given(small_architectures(), st.integers(0, 2**32 - 1))
+def test_gradients_match_finite_differences_on_random_architectures(arch, seed):
+    rng = np.random.default_rng(seed)
+    net = generic_point(init_network(arch, seed), rng)
+    x = random_batch(rng, 3, arch.input_length)
+    labels = rng.integers(0, arch.n_classes, 3)
+    assert finite_difference_max_relative_error(net, x, labels) < 1e-4
+
+
 class TestAdam:
     def test_first_step_moves_by_lr_sign(self):
-        params = [{"w": np.array([1.0, -2.0, 0.5]), "b": np.array([0.0])}]
-        grads = [{"w": np.array([0.3, -0.2, 0.9]), "b": np.array([-1.5])}]
+        theta = np.array([1.0, -2.0, 0.5, 0.0])
+        grad = np.array([0.3, -0.2, 0.9, -1.5])
         hyper = AdamHyper(lr=1e-3)
-        state = init_adam_state(params, hyper)
-        state, new_params = adam_step(state, params, grads)
+        state = init_adam_state(theta, hyper)
+        state, new_theta = adam_step(state, theta, grad)
         assert state.step_count == 1
-        for key in ("w", "b"):
-            g = grads[0][key]
-            expected = params[0][key] - hyper.lr * g / (np.abs(g) + hyper.epsilon)
-            assert np.allclose(new_params[0][key], expected, atol=1e-15)
+        expected = theta - hyper.lr * grad / (np.abs(grad) + hyper.epsilon)
+        assert np.allclose(new_theta, expected, atol=1e-15)
 
     def test_zero_gradient_from_fresh_state_keeps_parameters(self):
-        params = [{"w": np.array([1.0, 2.0])}]
-        state = init_adam_state(params)
-        zero = [{"w": np.zeros(2)}]
-        state, after = adam_step(state, params, zero)
-        assert np.array_equal(after[0]["w"], params[0]["w"])
+        theta = np.array([1.0, 2.0])
+        state = init_adam_state(theta)
+        state, after = adam_step(state, theta, np.zeros(2))
+        assert np.array_equal(after, theta)
         assert state.step_count == 1
 
     def test_zero_gradients_decay_moments(self):
-        params = [{"w": np.array([1.0, 2.0])}]
-        grads = [{"w": np.array([0.5, -0.5])}]
-        state = init_adam_state(params)
-        state, params = adam_step(state, params, grads)
-        m_before = np.abs(state.first_moment[0]["w"]).copy()
-        zero = [{"w": np.zeros(2)}]
+        theta = np.array([1.0, 2.0])
+        state = init_adam_state(theta)
+        state, theta = adam_step(state, theta, np.array([0.5, -0.5]))
+        m_before = np.abs(state.first_moment).copy()
         for _ in range(10):
-            state, params = adam_step(state, params, zero)
-        assert np.all(np.abs(state.first_moment[0]["w"]) < 0.5 * m_before)
-        assert np.all(np.abs(state.second_moment[0]["w"]) < 0.25)
+            state, theta = adam_step(state, theta, np.zeros(2))
+        assert np.all(np.abs(state.first_moment) < 0.5 * m_before)
+        assert np.all(np.abs(state.second_moment) < 0.25)
 
     def test_identical_gradient_sequences_give_identical_trajectories(self):
         rng = np.random.default_rng(6)
-        seq = [[{"w": rng.standard_normal(4)}] for _ in range(5)]
+        seq = [rng.standard_normal(4) for _ in range(5)]
 
         def run():
-            params = [{"w": np.ones(4)}]
-            state = init_adam_state(params)
-            for grads in seq:
-                state, params = adam_step(state, params, grads)
-            return params[0]["w"]
+            theta = np.ones(4)
+            state = init_adam_state(theta)
+            for grad in seq:
+                state, theta = adam_step(state, theta, grad)
+            return theta
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        params = [{"w": np.ones(3)}]
-        state = init_adam_state(params)
+        theta = np.ones(3)
+        state = init_adam_state(theta)
         with pytest.raises(ValueError):
-            adam_step(state, params, [{"w": np.ones(4)}])
+            adam_step(state, theta, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"lr": math.nan}, {"lr": math.inf}, {"epsilon": math.inf}, {"epsilon": math.nan}],
+    ids=["lr_nan", "lr_inf", "epsilon_inf", "epsilon_nan"],
+)
+def test_adam_hyper_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        AdamHyper(**kwargs)
 
 
 class TestWeightDistance:
     def test_zero_for_identical(self):
         net = init_network(SMALL_ARCH, 1)
-        assert weight_distance(net.parameters, net.parameters) == [0.0] * 4
+        assert weight_distance(SMALL_ARCH, net.theta, net.theta) == [0.0] * 4
 
     def test_unit_norm(self):
-        w0 = [{"w": np.zeros(4)}]
-        v = np.array([0.5, 0.5, 0.5, 0.5])
-        assert weight_distance(w0, [{"w": v}]) == [pytest.approx(1.0)]
+        theta0 = init_network(SMALL_ARCH, 1).theta
+        theta1 = theta0.copy()
+        layer_views(SMALL_ARCH, theta1)[1]["w"][0, 0, :] += 0.5
+        layer_views(SMALL_ARCH, theta1)[1]["b"][0] += 0.5
+        assert weight_distance(SMALL_ARCH, theta0, theta1) == [
+            0.0,
+            pytest.approx(1.0),
+            0.0,
+            0.0,
+        ]
 
     def test_triangle_inequality(self):
-        rng = np.random.default_rng(7)
-        nets = [init_network(SMALL_ARCH, s).parameters for s in (1, 2, 3)]
-        d02 = weight_distance(nets[0], nets[2])
-        d01 = weight_distance(nets[0], nets[1])
-        d12 = weight_distance(nets[1], nets[2])
+        thetas = [init_network(SMALL_ARCH, s).theta for s in (1, 2, 3)]
+        d02 = weight_distance(SMALL_ARCH, thetas[0], thetas[2])
+        d01 = weight_distance(SMALL_ARCH, thetas[0], thetas[1])
+        d12 = weight_distance(SMALL_ARCH, thetas[1], thetas[2])
         for a, b, c in zip(d02, d01, d12):
             assert a <= b + c + 1e-12
+
+    def test_shape_mismatch(self):
+        theta = init_network(SMALL_ARCH, 1).theta
+        with pytest.raises(ValueError):
+            weight_distance(SMALL_ARCH, theta, theta[:1])
 
 
 def toy_separable_set(n_per_class=16, length=16):
@@ -337,7 +418,18 @@ class TestTrain:
         record = train(init_network(self.arch, 0), toy_separable_set(), 0, 8)
         assert record.epoch_losses == []
         assert record.weight_distances == [[0.0]]
-        assert record.head_distances == [[0.0], [0.0]]
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError):
+            train(init_network(self.arch, 0), toy_separable_set(), -1, 8)
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        # the first batch's loss is taken before any update; the step of
+        # size ~lr after it overflows every logit
+        net = init_network(self.arch, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="epoch 1, batch 2"):
+                train(net, toy_separable_set(), 3, 8, AdamHyper(lr=1e305))
 
     def test_loss_decreases_on_separable_toy(self):
         drops = []
@@ -354,7 +446,6 @@ class TestTrain:
         b = train(init_network(self.arch, 3), ds, 4, 8, seed=17)
         assert a.epoch_losses == b.epoch_losses
         assert a.weight_distances == b.weight_distances
-        assert a.head_distances == b.head_distances
         assert a.final_accuracy == b.final_accuracy
         assert len(a.epoch_losses) == 4
         assert all(len(d) == 5 for d in a.weight_distances)
@@ -378,6 +469,10 @@ class TestRunComparison:
         for net in report.nets.values():
             assert net.final_losses.size == 0
             assert net.loss_median.shape == (0,)
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError):
+            run_comparison(1, 0, epochs=-1)
 
     def test_deterministic_given_base_seed(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, 8, 64.0, 1.0)
