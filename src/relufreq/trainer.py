@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -194,41 +194,90 @@ class ZeroTrainReport:
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x (B, C, L), w (O, C, K) -> (B, O, L); causal zero padding keeps L.
 
-    Decomposed over tap index: one channel contraction, then K shifted adds.
-    Avoids materializing sliding windows, which dominates at longer lengths.
+    Summation-order contract, on which the byte-identity of the training
+    artifacts rests: out[b, o, l] = ((t_0 + t_1) + ...) + t_{K-1}, taps added
+    in index order, where t_n = sum_c w[o, c, n] x[b, c, l - n] carries the
+    bits of the matching entry of one stacked (K*O, C) @ (C, B*L) matmul (see
+    _tap_products). Taps that reach before the row start add an exact zero,
+    which the bias add in forward() makes identical to adding nothing. The
+    bits also assume that BLAS runs the same kernel for the per-tap product
+    as for the stacked one; OpenBLAS picks its dgemm kernel by problem size.
     """
     o, c, k = w.shape
     b, _, length = x.shape
-    # y[o*k, b*l] = sum_c w[o, c, n] x[b, c, l]
-    y = (w.transpose(0, 2, 1).reshape(o * k, c) @ x.transpose(1, 0, 2).reshape(c, b * length))
-    y = y.reshape(o, k, b, length)
-    out = y[:, 0].copy()
-    for n in range(1, k):
-        out[:, :, n:] += y[:, n, :, : length - n]
-    return out.transpose(1, 0, 2)
+    padded = length + k - 1
+    # K-1 leading zeros per row turn tap n's shift into one contiguous add
+    xp = np.empty((c, b, padded))
+    xp[:, :, : k - 1] = 0.0
+    xp[:, :, k - 1 :] = x.transpose(1, 0, 2)
+    products = _tap_products(w.transpose(2, 0, 1), xp.reshape(c, b * padded))
+    out = next(products)
+    for n, y in enumerate(products, 1):
+        out[:, n:] += y[:, :-n]
+    return out.reshape(o, b, padded)[:, :, k - 1 :].transpose(1, 0, 2)
 
 
-def _conv_backward(
-    x: np.ndarray, w: np.ndarray, dout: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradients of the causal convolution w.r.t. taps and input."""
-    o, c, k = w.shape
-    b, _, length = x.shape
+def _tap_products(taps: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
+    """taps (K, R, I), x (I, N) -> taps[n] @ x for n = 0..K-1, each (R, N), one at a time.
+
+    Each product has the bits of its rows of the stacked (K*R, I) @ (I, N)
+    matmul: for an inner length of 1 numpy computes that matmul in its own
+    loop as 0.0 + w * x, and a single-row product would go to gemv, which
+    sums in another order than gemm, so single-row taps stay stacked.
+    """
+    k, rows, inner = taps.shape
+    if inner == 1:
+        for tap in taps:
+            y = tap * x
+            y += 0.0
+            yield y
+    elif rows == 1:
+        yield from (taps.reshape(k, inner) @ x)[:, None, :]
+    else:
+        for tap in np.ascontiguousarray(taps):
+            yield tap @ x
+
+
+def _conv_weight_grad(x: np.ndarray, dout: np.ndarray, kernel_size: int) -> np.ndarray:
+    """Gradient of the causal convolution w.r.t. its (O, C, K) taps.
+
+    dw[o, c, n] = sum_{b, l} dout[b, o, l] x[b, c, l - n]: one matmul per
+    tap over exactly the B(L - n) terms, in (b, l) order. Padding these
+    operands would change OpenBLAS's blocking of the sum, and with it the bits.
+    """
+    b, c, length = x.shape
+    o = dout.shape[1]
     dout_t = np.ascontiguousarray(dout.transpose(1, 0, 2)).reshape(o, b * length)
     x_t = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(c, b * length)
-    # dw[o, c, n] = sum_{b, l} dout[b, o, l] x[b, c, l - n]
-    dw = np.empty((o, c, k))
+    dw = np.empty((o, c, kernel_size))
     dw[:, :, 0] = dout_t @ x_t.T
-    for n in range(1, k):
+    for n in range(1, kernel_size):
         lhs = dout.transpose(1, 0, 2)[:, :, n:].reshape(o, -1)
         rhs = x.transpose(1, 0, 2)[:, :, : length - n].reshape(c, -1)
         dw[:, :, n] = lhs @ rhs.T
-    # dx[b, c, m] = sum_{o, n} w[o, c, n] dout[b, o, m + n]
-    z = (w.transpose(1, 2, 0).reshape(c * k, o) @ dout_t).reshape(c, k, b, length)
-    dx = z[:, 0].copy()
-    for n in range(1, k):
-        dx[:, :, : length - n] += z[:, n, :, n:]
-    return dw, dx.transpose(1, 0, 2)
+    return dw
+
+
+def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """Gradient of the causal convolution w.r.t. its (B, C, L) input.
+
+    dx[b, c, m] = sum_n sum_o w[o, c, n] dout[b, o, m + n], taps added in
+    index order as in _conv_forward; K-1 trailing zeros per row make each
+    tap one contiguous add. The result is laid out (C, B, L) in memory.
+    """
+    o, c, k = w.shape
+    b, _, length = dout.shape
+    padded = length + k - 1
+    dp = np.empty((o, b, padded))
+    dp[:, :, length:] = 0.0
+    dp[:, :, :length] = dout.transpose(1, 0, 2)
+    products = _tap_products(w.transpose(2, 1, 0), dp.reshape(o, b * padded))
+    dx = next(products)
+    for n, y in enumerate(products, 1):
+        dx[:, :-n] += y[:, n:]
+    # copied out contiguous: numpy sums a strided array in another order, and
+    # backward() sums this one for the bias gradient of a linear conv layer
+    return np.ascontiguousarray(dx.reshape(c, b, padded)[:, :, :length]).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +324,7 @@ def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
     hidden = np.maximum(hidden_pre, 0.0)
     logits = hidden @ params[n_conv + 1]["w"] + params[n_conv + 1]["b"]
     cache = {
-        "theta": net.theta,
+        "theta": net.theta.copy(),
         "conv": conv_caches,
         "conv_out_shape": acts.shape,
         "feat": feat,
@@ -305,7 +354,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def backward(net: Network, cache: dict, labels) -> np.ndarray:
     """Gradient of loss_sparse_ce w.r.t. theta, as a vector of theta's layout."""
-    if cache.get("theta") is not net.theta:
+    if not np.array_equal(cache.get("theta"), net.theta):
         raise ValueError("stale cache: forward was run with different parameters")
     arch = net.architecture
     params = layer_views(arch, net.theta)
@@ -338,8 +387,11 @@ def backward(net: Network, cache: dict, labels) -> np.ndarray:
             dpre = dacts * (layer_cache["pre"] > 0)
         else:
             dpre = np.asarray(dacts)
-        grads[i]["w"][...], dacts = _conv_backward(layer_cache["input"], params[i]["w"], dpre)
+        kernel_size = arch.conv_layers[i].kernel_size
+        grads[i]["w"][...] = _conv_weight_grad(layer_cache["input"], dpre, kernel_size)
         grads[i]["b"][...] = dpre.sum(axis=(0, 2))
+        if i > 0:
+            dacts = _conv_input_grad(params[i]["w"], dpre)
     return grad
 
 

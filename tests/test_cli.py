@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +337,28 @@ class TestZeroTrain:
     def test_bad_kernel_string_exits_2(self, capsys):
         assert run(["zero-train", "--kernel", "0.6"]) == 2
         capsys.readouterr()
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "0"],
+        ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "1"],
+        ["zero-train", "--seed", "0"],
+    ],
+    ids=["train-compare-seed0", "train-compare-seed1", "zero-train-seed0"],
+)
+def test_artifacts_match_recorded_digests(argv, tmp_path, capsys):
+    """Every CSV, and the manifest results, hash to the digests recorded from the seed sources."""
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[" ".join(argv)]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    results = json.dumps(manifest["results"], sort_keys=True).encode()
+    digests = {"manifest.results": hashlib.sha256(results).hexdigest()}
+    for name in manifest["output_files"]:
+        if name.endswith(".csv"):
+            digests[name] = hashlib.sha256(read(tmp_path / name)).hexdigest()
+    assert digests == recorded

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relufreq import (
@@ -28,7 +28,13 @@ from relufreq import (
     weight_distance,
     zero_train_eval,
 )
-from relufreq.trainer import _comparison_architecture, _conv_forward, default_dataset_spec
+from relufreq.trainer import (
+    _comparison_architecture,
+    _conv_forward,
+    _conv_input_grad,
+    _conv_weight_grad,
+    default_dataset_spec,
+)
 
 SMALL_ARCH = Architecture(
     (ConvLayerSpec(3, 3, "relu"), ConvLayerSpec(2, 3, "relu")),
@@ -154,6 +160,84 @@ def test_batched_conv_matches_np_convolve(b, c, o, k, extra, seed):
     np.testing.assert_allclose(_conv_forward(x, w), expected, rtol=1e-12, atol=1e-12)
 
 
+def stacked_conv_forward(x, w):
+    """Reference causal conv: one (K*O, C) @ (C, B*L) contraction, then K shifted adds."""
+    o, c, k = w.shape
+    b, _, length = x.shape
+    y = w.transpose(0, 2, 1).reshape(o * k, c) @ x.transpose(1, 0, 2).reshape(c, b * length)
+    y = y.reshape(o, k, b, length)
+    out = y[:, 0].copy()
+    for n in range(1, k):
+        out[:, :, n:] += y[:, n, :, : length - n]
+    return out.transpose(1, 0, 2)
+
+
+def stacked_conv_backward(x, w, dout):
+    """Reference taps and input gradients in the same stacked formulation."""
+    o, c, k = w.shape
+    b, _, length = x.shape
+    dout_t = np.ascontiguousarray(dout.transpose(1, 0, 2)).reshape(o, b * length)
+    x_t = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(c, b * length)
+    dw = np.empty((o, c, k))
+    dw[:, :, 0] = dout_t @ x_t.T
+    for n in range(1, k):
+        lhs = dout.transpose(1, 0, 2)[:, :, n:].reshape(o, -1)
+        rhs = x.transpose(1, 0, 2)[:, :, : length - n].reshape(c, -1)
+        dw[:, :, n] = lhs @ rhs.T
+    z = (w.transpose(1, 2, 0).reshape(c * k, o) @ dout_t).reshape(c, k, b, length)
+    dx = z[:, 0].copy()
+    for n in range(1, k):
+        dx[:, :, : length - n] += z[:, n, :, n:]
+    return dw, dx.transpose(1, 0, 2)
+
+
+def assert_conv_kernels_equal_reference(rng, b, c, o, k, length):
+    x = rng.uniform(-1.0, 1.0, (b, c, length))
+    w = rng.uniform(-1.0, 1.0, (o, c, k))
+    dout = rng.uniform(-1.0, 1.0, (b, o, length))
+    dw, dx = stacked_conv_backward(x, w, dout)
+    assert np.array_equal(_conv_forward(x, w), stacked_conv_forward(x, w))
+    assert np.array_equal(_conv_weight_grad(x, dout, k), dw)
+    assert np.array_equal(_conv_input_grad(w, dout), dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(2, 24),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+def test_conv_kernels_keep_the_stacked_summation_order(b, c, o, length, data, seed):
+    """Forward, taps gradient and input gradient equal the stacked reference bit for bit.
+
+    The training artifacts are byte-identical only while every conv output
+    adds the same products in the same order. Two things outside that order
+    also decide the bits, so the drawn sizes stay clear of them. OpenBLAS
+    picks its dgemm kernel by problem size: with numpy 2.4's OpenBLAS 0.3.31,
+    stacked products above M*N*K = 1e6 whose per-tap products (K times
+    smaller) fell below it differed in the last bit. And at L = 1 the
+    reference's reshapes are column-major views, which numpy hands to gemv
+    in its transposed form. The training shapes are checked in the test below.
+    """
+    k = data.draw(st.integers(1, length))
+    assert_conv_kernels_equal_reference(np.random.default_rng(seed), b, c, o, k, length)
+
+
+@pytest.mark.parametrize("batch", [4, 32, 900])
+@pytest.mark.parametrize("in_channels", [1, 8])
+def test_conv_kernels_equal_the_stacked_reference_on_training_shapes(batch, in_channels):
+    """train-compare's conv layers: batches of 32, the last batch of 4, and the 900-sample pass."""
+    arch = _comparison_architecture("relu", default_dataset_spec())
+    spec = arch.conv_layers[0]
+    rng = np.random.default_rng(batch + in_channels)
+    assert_conv_kernels_equal_reference(
+        rng, batch, in_channels, spec.filters, spec.kernel_size, arch.input_length
+    )
+
+
 class TestForward:
     def test_zero_parameters_give_zero_logits_and_log3_loss(self):
         net = init_network(SMALL_ARCH, 0)
@@ -237,11 +321,29 @@ def finite_difference_max_relative_error(net, x, labels, step=1e-5):
     return worst
 
 
-def generic_point(net, rng):
-    """Push biases off zero so no pre-activation sits exactly on a relu kink."""
-    for layer in net.parameters:
-        layer["b"][...] += rng.random(layer["b"].shape) * 0.2 - 0.1
-    return net
+KINK_MARGIN = 1e-3  # a hundred finite-difference steps
+
+
+def relu_inputs(net, x):
+    _, cache = forward(net, x)
+    specs = net.architecture.conv_layers
+    pres = [layer["pre"] for layer, spec in zip(cache["conv"], specs) if spec.activation == "relu"]
+    return pres + [cache["hidden_pre"]]
+
+
+def generic_point(net, rng, n, length):
+    """Perturb the biases and draw an (n, length) batch on which every relu input,
+    conv and hidden, lies at least KINK_MARGIN from the kink, so that the central
+    difference stencil never straddles one. Redraws both until it does."""
+    theta0 = net.theta.copy()
+    for _ in range(100):
+        net.theta[...] = theta0
+        for layer in net.parameters:
+            layer["b"][...] += rng.random(layer["b"].shape) * 0.2 - 0.1
+        x = random_batch(rng, n, length)
+        if min(np.abs(pre).min() for pre in relu_inputs(net, x)) >= KINK_MARGIN:
+            return net, x
+    raise AssertionError("no point clear of the relu kinks in 100 draws")
 
 
 class TestBackward:
@@ -249,8 +351,7 @@ class TestBackward:
         for seed in (0, 1, 2):
             for batch_seed in (10, 11, 12):
                 rng = np.random.default_rng(batch_seed)
-                net = generic_point(init_network(SMALL_ARCH, seed), rng)
-                x = random_batch(rng, 6, 16)
+                net, x = generic_point(init_network(SMALL_ARCH, seed), rng, 6, 16)
                 labels = rng.integers(0, 3, 6)
                 err = finite_difference_max_relative_error(net, x, labels)
                 assert err < 1e-4, f"seed={seed} batch={batch_seed} err={err}"
@@ -260,8 +361,7 @@ class TestBackward:
             (ConvLayerSpec(3, 3, "linear"),), 4, 3, "global_average", 16
         )
         rng = np.random.default_rng(20)
-        net = generic_point(init_network(arch, 5), rng)
-        x = random_batch(rng, 5, 16)
+        net, x = generic_point(init_network(arch, 5), rng, 5, 16)
         labels = rng.integers(0, 3, 5)
         assert finite_difference_max_relative_error(net, x, labels) < 1e-4
 
@@ -302,13 +402,30 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(other, cache, [0, 1])
 
+    def test_parameter_write_after_forward_rejected(self):
+        net = init_network(SMALL_ARCH, 13)
+        x = random_batch(np.random.default_rng(5), 2, 16)
+        _, cache = forward(net, x)
+        net.parameters[0]["w"][...] += 0.5
+        with pytest.raises(ValueError, match="stale cache"):
+            backward(net, cache, [0, 1])
+
 
 @settings(max_examples=25, deadline=None)
 @given(small_architectures(), st.integers(0, 2**32 - 1))
+@example(  # its first draw puts a conv1 relu input 4.6e-6 from the kink
+    Architecture(
+        (ConvLayerSpec(1, 1, "relu"), ConvLayerSpec(1, 1, "linear")),
+        hidden_units=1,
+        n_classes=2,
+        flatten_mode="flatten",
+        input_length=7,
+    ),
+    53951,
+)
 def test_gradients_match_finite_differences_on_random_architectures(arch, seed):
     rng = np.random.default_rng(seed)
-    net = generic_point(init_network(arch, seed), rng)
-    x = random_batch(rng, 3, arch.input_length)
+    net, x = generic_point(init_network(arch, seed), rng, 3, arch.input_length)
     labels = rng.integers(0, arch.n_classes, 3)
     assert finite_difference_max_relative_error(net, x, labels) < 1e-4
 
