@@ -183,6 +183,9 @@ def dc_model(amplitudes: Sequence[float], gains: Sequence[float]) -> float:
     b = np.asarray(gains, dtype=float)
     if a.shape != b.shape:
         raise ValueError("amplitudes and gains must have equal length")
+    for name, values in (("amplitudes", a), ("gains", b)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     if np.any(b < 0):
         raise ValueError("gains must be >= 0")
     return float(math.sqrt(2.0) / 4.0 * math.sqrt(float(np.sum(a**2 * b**2))))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -130,10 +130,11 @@ class AdamState:
 
 @dataclass
 class TrainingRecord:
-    """Per-epoch mean loss and per-layer distances from the initial weights.
+    """Per-epoch mean loss, per-layer distances from the initial weights, final accuracy.
 
     Distance lists carry epochs + 1 entries; entry 0 is the distance at
-    initialization, which is 0 by construction.
+    initialization, which is 0 by construction. final_accuracy is the
+    training-set accuracy after the last epoch, computed in batch_size slices.
     """
 
     epoch_losses: List[float]
@@ -198,7 +199,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     artifacts rests: out[b, o, l] = ((t_0 + t_1) + ...) + t_{K-1}, taps added
     in index order, where t_n = sum_c w[o, c, n] x[b, c, l - n] carries the
     bits of the matching entry of one stacked (K*O, C) @ (C, B*L) matmul (see
-    _tap_products). Taps that reach before the row start add an exact zero,
+    _tap_sum). Taps that reach before the row start add an exact zero,
     which the bias add in forward() makes identical to adding nothing. The
     bits also assume that BLAS runs the same kernel for the per-tap product
     as for the stacked one; OpenBLAS picks its dgemm kernel by problem size.
@@ -210,32 +211,54 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     xp = np.empty((c, b, padded))
     xp[:, :, : k - 1] = 0.0
     xp[:, :, k - 1 :] = x.transpose(1, 0, 2)
-    products = _tap_products(w.transpose(2, 0, 1), xp.reshape(c, b * padded))
-    out = next(products)
-    for n, y in enumerate(products, 1):
-        out[:, n:] += y[:, :-n]
+    out = _tap_sum(w.transpose(2, 0, 1), xp.reshape(c, b * padded), advance=False)
     return out.reshape(o, b, padded)[:, :, k - 1 :].transpose(1, 0, 2)
 
 
-def _tap_products(taps: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
-    """taps (K, R, I), x (I, N) -> taps[n] @ x for n = 0..K-1, each (R, N), one at a time.
+def _tap_sum(taps: np.ndarray, x: np.ndarray, advance: bool) -> np.ndarray:
+    """taps (K, R, I), x (I, N) -> (R, N) sum of the products p_n = taps[n] @ x, shifted.
 
-    Each product has the bits of its rows of the stacked (K*R, I) @ (I, N)
-    matmul: for an inner length of 1 numpy computes that matmul in its own
-    loop as 0.0 + w * x, and a single-row product would go to gemv, which
-    sums in another order than gemm, so single-row taps stay stacked.
+    Column j adds p_n[:, j - n], or p_n[:, j + n] when advance, for every n
+    that stays inside the N columns, in index order from tap 0. Each product
+    has the bits of its rows of the stacked (K*R, I) @ (I, N) matmul: for an
+    inner length of 1 numpy computes that matmul in its own loop as
+    0.0 + w * x, and a single-row product would go to gemv, which sums in
+    another order than gemm, so single-row taps stay stacked. Unstacked
+    products of taps 1..K-1 are written into one reused buffer.
     """
     k, rows, inner = taps.shape
+    n_cols = x.shape[1]
+
+    def columns(n: int) -> Tuple[slice, slice]:
+        """(columns of the sum that tap n adds to, columns of p_n they read)."""
+        head, tail = slice(0, n_cols - n), slice(n, n_cols)
+        return (head, tail) if advance else (tail, head)
+
     if inner == 1:
-        for tap in taps:
-            y = tap * x
-            y += 0.0
-            yield y
+        out = taps[0] * x
+        # after this the running sum is never -0.0, so adding p_n instead of
+        # 0.0 + p_n for the later taps changes no bit
+        out += 0.0
+        buf = np.empty_like(out)
+        for n in range(1, k):
+            dst, src = columns(n)
+            # only the columns the add reads; a row-strided output is also
+            # the faster one for this broadcast product
+            out[:, dst] += np.multiply(taps[n], x[:, src], out=buf[:, dst])
     elif rows == 1:
-        yield from (taps.reshape(k, inner) @ x)[:, None, :]
+        stacked = taps.reshape(k, inner) @ x
+        out = stacked[:1]
+        for n in range(1, k):
+            dst, src = columns(n)
+            out[:, dst] += stacked[n : n + 1, src]
     else:
-        for tap in np.ascontiguousarray(taps):
-            yield tap @ x
+        taps = np.ascontiguousarray(taps)
+        out = taps[0] @ x
+        buf = np.empty_like(out)
+        for n in range(1, k):
+            dst, src = columns(n)
+            out[:, dst] += np.matmul(taps[n], x, out=buf)[:, src]
+    return out
 
 
 def _conv_weight_grad(x: np.ndarray, dout: np.ndarray, kernel_size: int) -> np.ndarray:
@@ -271,10 +294,7 @@ def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
     dp = np.empty((o, b, padded))
     dp[:, :, length:] = 0.0
     dp[:, :, :length] = dout.transpose(1, 0, 2)
-    products = _tap_products(w.transpose(2, 1, 0), dp.reshape(o, b * padded))
-    dx = next(products)
-    for n, y in enumerate(products, 1):
-        dx[:, :-n] += y[:, n:]
+    dx = _tap_sum(w.transpose(2, 1, 0), dp.reshape(o, b * padded), advance=True)
     # copied out contiguous: numpy sums a strided array in another order, and
     # backward() sums this one for the bias gradient of a linear conv layer
     return np.ascontiguousarray(dx.reshape(c, b, padded)[:, :, :length]).transpose(1, 0, 2)
@@ -437,7 +457,17 @@ def train(
     adam_hyper: AdamHyper = AdamHyper(),
     seed: int = 0,
 ) -> TrainingRecord:
-    """Seeded shuffled mini-batch training; records loss and distance curves."""
+    """Seeded shuffled mini-batch training; records loss and distance curves.
+
+    final_accuracy is the training-set accuracy after the last epoch. Its
+    logits come from forward() on consecutive batch_size slices of the set,
+    so one mini-batch is the largest input any call sees. Conv and pooling
+    rows do not depend on how many rows a call gets; OpenBLAS's dense
+    products in the head do only while every slice has a multiple of 4 rows,
+    as the defaults (900 rows in slices of 32, the last of 4) have. Other
+    shapes can move a logit by one ulp against a whole-set forward(), which
+    changes the accuracy only at an exact argmax tie.
+    """
     if len(trainset) == 0:
         raise ValueError("trainset must be non-empty")
     if epochs < 0:
@@ -469,7 +499,8 @@ def train(
         # zip stops at the conv layers; the dense-head distances are not recorded
         for curve, dist in zip(conv_dists, weight_distance(arch, theta0, current.theta)):
             curve.append(dist)
-    logits, _ = forward(current, x)
+    starts = range(0, y.size, batch_size)
+    logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
     return TrainingRecord(epoch_losses, conv_dists, float(np.mean(np.argmax(logits, axis=1) == y)))
 
 

@@ -275,6 +275,19 @@ class TestDcModel:
         with pytest.raises(ValueError):
             dc_model([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "amplitudes, gains, name",
+        [
+            ([1.0], [math.nan], "gains"),
+            ([math.inf], [1.0], "amplitudes"),
+            ([1.0, math.nan], [1.0, 1.0], "amplitudes"),
+            ([1.0, 2.0], [1.0, -math.inf], "gains"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, amplitudes, gains, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dc_model(amplitudes, gains)
+
     def test_ratio_to_measured_dc_is_constant(self):
         # measured mean of relu(a cos) via dense quadrature is a/pi; the
         # model is the zeroth-order term, a constant sqrt(2) pi / 4 above it

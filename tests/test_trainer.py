@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -191,14 +193,24 @@ def stacked_conv_backward(x, w, dout):
     return dw, dx.transpose(1, 0, 2)
 
 
+def assert_bitwise_equal(actual, expected):
+    """Equal bit patterns: unlike np.array_equal, -0.0 differs from +0.0."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_conv_kernels_match_reference(x, w, dout):
+    dw, dx = stacked_conv_backward(x, w, dout)
+    assert_bitwise_equal(_conv_forward(x, w), stacked_conv_forward(x, w))
+    assert_bitwise_equal(_conv_weight_grad(x, dout, w.shape[2]), dw)
+    assert_bitwise_equal(_conv_input_grad(w, dout), dx)
+
+
 def assert_conv_kernels_equal_reference(rng, b, c, o, k, length):
     x = rng.uniform(-1.0, 1.0, (b, c, length))
     w = rng.uniform(-1.0, 1.0, (o, c, k))
     dout = rng.uniform(-1.0, 1.0, (b, o, length))
-    dw, dx = stacked_conv_backward(x, w, dout)
-    assert np.array_equal(_conv_forward(x, w), stacked_conv_forward(x, w))
-    assert np.array_equal(_conv_weight_grad(x, dout, k), dw)
-    assert np.array_equal(_conv_input_grad(w, dout), dx)
+    assert_conv_kernels_match_reference(x, w, dout)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,6 +248,28 @@ def test_conv_kernels_equal_the_stacked_reference_on_training_shapes(batch, in_c
     assert_conv_kernels_equal_reference(
         rng, batch, in_channels, spec.filters, spec.kernel_size, arch.input_length
     )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_single_channel_conv_paths_keep_signed_zeros(seed):
+    """The broadcast-product paths equal the stacked reference bit for bit, signed zeros too.
+
+    Forward with one input channel and the input gradient with one filter
+    multiply instead of calling BLAS. Many products here are -0.0, and only
+    the bits tell whether each sum starts from 0.0 + tap 0 as the reference's
+    matmul does. The BLAS paths are not held to this: they add the causal
+    padding's +0.0 products where the reference adds nothing, which turns a
+    -0.0 sum into +0.0.
+    """
+    rng = np.random.default_rng(seed)
+    values = np.array([-0.0, 0.0, -0.0, 0.0, -1.0, 1.0, -5e-324, 5e-324, 0.5])
+    x = rng.choice(values, (5, 1, 12))
+    w = rng.choice(values, (3, 1, 4))
+    assert_bitwise_equal(_conv_forward(x, w), stacked_conv_forward(x, w))
+    w = rng.choice(values, (1, 3, 4))
+    dout = rng.choice(values, (5, 1, 12))
+    _, dx = stacked_conv_backward(np.zeros((5, 3, 12)), w, dout)
+    assert_bitwise_equal(_conv_input_grad(w, dout), dx)
 
 
 class TestForward:
@@ -566,6 +600,65 @@ class TestTrain:
         assert a.final_accuracy == b.final_accuracy
         assert len(a.epoch_losses) == 4
         assert all(len(d) == 5 for d in a.weight_distances)
+
+
+def generic_comparison_net(activation, seed):
+    """A train-compare network with every parameter, biases included, off its init."""
+    net = init_network(_comparison_architecture(activation, default_dataset_spec()), seed)
+    rng = np.random.default_rng(seed)
+    return replace(net, theta=net.theta + rng.uniform(-0.2, 0.2, net.theta.shape))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_final_accuracy_slices_equal_the_whole_set_forward(activation, seed):
+    """train's batch_size slices give the whole-set forward's logits bit for bit.
+
+    The default shapes: 900 rows in slices of 32, the last slice of 4.
+    """
+    trainset = sample_dataset(default_dataset_spec(), seed)
+    net = generic_comparison_net(activation, seed)
+    whole, _ = forward(net, trainset.inputs)
+    starts = range(0, len(trainset), 32)
+    sliced = np.concatenate([forward(net, trainset.inputs[i : i + 32])[0] for i in starts])
+    assert_bitwise_equal(sliced, whole)
+    accuracy = float(np.mean(np.argmax(whole, axis=1) == trainset.labels))
+    assert train(net, trainset, 0, 32).final_accuracy == accuracy
+
+
+@lru_cache(maxsize=None)
+def whole_set_features(activation):
+    trainset = sample_dataset(default_dataset_spec(), 0)
+    net = generic_comparison_net(activation, 0)
+    return net, trainset.inputs, forward(net, trainset.inputs)[1]["feat"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["relu", "linear"]), st.integers(1, 450))
+def test_pooled_features_do_not_depend_on_the_slice_size(activation, size):
+    """Conv and pooling rows are computed alike however many rows a call gets."""
+    net, inputs, whole = whole_set_features(activation)
+    starts = range(0, inputs.shape[0], size)
+    sliced = np.concatenate([forward(net, inputs[i : i + size])[1]["feat"] for i in starts])
+    assert_bitwise_equal(sliced, whole)
+
+
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_training_holds_no_more_than_a_few_batches(activation):
+    """One epoch on the default 900-sample set, batch 32, stays under 4 MB of traced peak.
+
+    A forward pass over the whole set holds about 20 MB of activations.
+    """
+    spec = default_dataset_spec()
+    trainset = sample_dataset(spec, 0)
+    net = init_network(_comparison_architecture(activation, spec), 0)
+    tracemalloc.start()
+    try:
+        train(net, trainset, 1, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestRunComparison:
