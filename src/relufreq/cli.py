@@ -448,8 +448,10 @@ def run(argv: Sequence[str]) -> int:
             if artifacts.summary is not None:
                 print(artifacts.summary)
         return 0
-    except (ReluFreqError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (ReluFreqError, ValueError, OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; print the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

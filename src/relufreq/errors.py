@@ -22,7 +22,12 @@ class NonZeroPhaseError(ReluFreqError):
 
 
 class DegenerateInputError(ReluFreqError):
-    """All component amplitudes are zero; the mean power is not positive."""
+    """The input leaves the requested quantity undefined.
+
+    All component amplitudes are zero, so the mean power is not positive; or
+    two classes share a mean DC, so a nearest-prototype accuracy would
+    measure only how ties are broken.
+    """
 
 
 class DivergenceError(ReluFreqError):

@@ -69,16 +69,6 @@ class MultiTone:
     def frequencies(self) -> np.ndarray:
         return np.array([c.frequency for c in self.components], dtype=float)
 
-    @property
-    def phases(self) -> np.ndarray:
-        return np.array([c.phase for c in self.components], dtype=float)
-
-    @property
-    def max_frequency(self) -> float:
-        if not self.components:
-            return 0.0
-        return max(c.frequency for c in self.components)
-
     def all_zero_phase(self) -> bool:
         return all(c.phase == 0.0 for c in self.components)
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .convnets import Kernel, fir_response
-from .errors import DivergenceError
+from .errors import DegenerateInputError, DivergenceError
 from .multitone import DatasetSpec, LabeledSet, sample_dataset
 
 RELU = "relu"
@@ -608,6 +608,10 @@ def run_comparison(
 # ---------------------------------------------------------------------------
 # zero-training classifier
 
+# Per-sample DCs are computed over row slices of about this many samples
+# (32 rows of 2048), so each conv temporary stays near 0.5 MB.
+_DC_SLICE_SAMPLES = 2**16
+
 
 def zero_train_eval(
     dataset: LabeledSet,
@@ -619,7 +623,13 @@ def zero_train_eval(
     Exactly one of kernel / seed must be given; a seed draws the two taps
     uniformly from [-sqrt(1/2), sqrt(1/2)] like a fan-in-scaled random init.
     Class prototypes are the per-class mean DCs of this dataset and accuracy
-    is nearest-prototype classification of the same samples.
+    is nearest-prototype classification of the same samples; classes that
+    share a mean DC raise DegenerateInputError.
+
+    A sample's DC is the row mean of relu of the causal 2-tap conv. It is
+    computed over consecutive row slices of the dataset; with one input
+    channel the conv of a row and its pairwise-summed mean do not depend on
+    how many rows share the call, so the DCs equal a whole-set call bit for bit.
     """
     if (kernel is None) == (seed is None):
         raise ValueError("provide exactly one of kernel or seed")
@@ -635,8 +645,12 @@ def zero_train_eval(
     if dataset.frequencies is None:
         raise ValueError("dataset must carry per-sample frequencies")
 
-    conv = _conv_forward(dataset.inputs[:, None, :], taps[None, None, :])[:, 0, :]
-    dcs = np.maximum(conv, 0.0).mean(axis=1)
+    x = dataset.inputs
+    rows = max(1, _DC_SLICE_SAMPLES // x.shape[1])
+    dcs = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], rows):
+        conv = _conv_forward(x[start : start + rows, None, :], taps[None, None, :])[:, 0, :]
+        dcs[start : start + rows] = np.maximum(conv, 0.0).mean(axis=1)
     labels, freqs = dataset.labels, dataset.frequencies
 
     classes = np.unique(labels)
@@ -646,6 +660,11 @@ def zero_train_eval(
     std_dcs = np.array(
         [dcs[labels == c].std(ddof=1) if n > 1 else 0.0 for c, n in zip(classes, counts)]
     )
+    if np.unique(mean_dcs).size < mean_dcs.size:
+        raise DegenerateInputError(
+            f"classes share a mean DC ({mean_dcs.tolist()}), so nearest-prototype "
+            "accuracy would only measure the tie-break"
+        )
     gains = fir_response(Kernel(taps), mean_freqs, dataset.sample_rate).gains
     predicted = classes[np.argmin(np.abs(dcs[:, None] - mean_dcs[None, :]), axis=1)]
     accuracy = float(np.mean(predicted == labels))

@@ -104,6 +104,28 @@ class TestDispatcher:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            # every class mean DC is 0: the accuracy would be a tie-break
+            (["zero-train", "--kernel", "0,0"], "DegenerateInputError"),
+            # 1e18 eight-byte values exceed the address space, so these fail
+            # at once without touching memory
+            (["coeffs", "--n", str(10**18)], "MemoryError"),
+            (["approx", "--terms", str(10**18)], "MemoryError"),
+            (["approx", "--fs", "1e18"], "MemoryError"),
+        ],
+    )
+    def test_failure_exits_1_with_public_error_name(
+        self, argv, name, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name}: ")
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["approx", "--harmonics", "1", "--fs", "64"],

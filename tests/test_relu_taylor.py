@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relufreq import (
@@ -307,6 +307,27 @@ class TestDcModel:
         lhs = dc_model([alpha * a for a in amps], gains)
         rhs = alpha * dc_model(amps, gains)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_squares_beyond_the_float_range(self):
+        # (1e200)**2 overflows and (1e-200)**2 underflows; their product is 1
+        assert dc_model([1e200], [1e-200]) == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)
+        assert dc_model([1e200, 1e-200], [1e-200, 1e200]) == pytest.approx(0.5, rel=1e-15)
+        assert dc_model([0.0, 1e300], [1.0, 0.0]) == 0.0
+        with np.errstate(over="ignore"):
+            assert dc_model([1e200], [1e200]) == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(1e-10, 1e10), st.floats(1e-10, 1e10)), min_size=1, max_size=5),
+        st.integers(-150, 150),
+    )
+    @example([(1e10, 1e-10)], 150)
+    def test_invariant_under_opposite_scaling(self, pairs, exponent):
+        """dc_model depends on the products a_i * b_i only, at any magnitude."""
+        scale = 10.0**exponent
+        amps, gains = (np.array(column) for column in zip(*pairs))
+        scaled = dc_model(amps * scale, gains / scale)
+        assert scaled == pytest.approx(dc_model(amps, gains), rel=1e-14)
 
     def test_monotone_in_gains(self):
         amps = [1.0, 2.0, 0.5]

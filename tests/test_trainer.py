@@ -13,6 +13,7 @@ from relufreq import (
     Architecture,
     ConvLayerSpec,
     DatasetSpec,
+    DegenerateInputError,
     DivergenceError,
     Kernel,
     LabeledSet,
@@ -30,6 +31,8 @@ from relufreq import (
     weight_distance,
     zero_train_eval,
 )
+from relufreq import trainer
+from relufreq.cli import DEFAULT_ZERO_KERNEL, ZERO_TRAIN_SPEC
 from relufreq.trainer import (
     _comparison_architecture,
     _conv_forward,
@@ -771,3 +774,59 @@ class TestZeroTrain:
         no_freqs = LabeledSet(ds.inputs, ds.labels, ds.sample_rate)
         with pytest.raises(ValueError):
             zero_train_eval(no_freqs, kernel=Kernel(np.array([1.0, 2.0])))
+
+    def test_zero_kernel_rejected(self):
+        """Every DC is 0, so every sample ties and argmin would pick class 0."""
+        ds = sample_dataset(self.spec, 7)
+        with pytest.raises(DegenerateInputError, match="share a mean DC"):
+            zero_train_eval(ds, kernel=Kernel(np.array([0.0, 0.0])))
+
+    def test_classes_with_equal_mean_dcs_rejected(self):
+        row = np.cos(2 * np.pi * 5.0 * np.arange(64) / 64.0)
+        ds = LabeledSet(np.tile(row, (6, 1)), np.repeat([0, 1, 2], 2), 64.0, np.full(6, 5.0))
+        with pytest.raises(DegenerateInputError, match="share a mean DC"):
+            zero_train_eval(ds, kernel=Kernel(np.array([0.6, 0.4])))
+
+
+@lru_cache(maxsize=None)
+def zero_train_set():
+    """The CLI's zero-train dataset at seed 0: 300 rows of 2048 samples."""
+    return sample_dataset(ZERO_TRAIN_SPEC, 1)
+
+
+def whole_set_dcs(inputs, taps):
+    """The per-sample DCs from one conv over every row: the sliced path's reference."""
+    conv = _conv_forward(inputs[:, None, :], taps[None, None, :])[:, 0, :]
+    return np.maximum(conv, 0.0).mean(axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 300])
+@pytest.mark.parametrize("kernel", [DEFAULT_ZERO_KERNEL, 0, 5], ids=["default", "seed0", "seed5"])
+def test_sliced_dcs_equal_the_whole_set_conv(rows, kernel, monkeypatch):
+    """Row slices of any size give the whole-set DCs bit for bit.
+
+    A kernel tuple is used as given; an integer draws a seeded kernel.
+    """
+    ds = zero_train_set()
+    length = ds.inputs.shape[1]
+    monkeypatch.setattr(trainer, "_DC_SLICE_SAMPLES", rows * length)
+    if isinstance(kernel, int):
+        report = zero_train_eval(ds, seed=kernel)
+    else:
+        report = zero_train_eval(ds, kernel=Kernel(np.array(kernel)))
+    assert_bitwise_equal(report.sample_dcs, whole_set_dcs(ds.inputs, report.taps))
+
+
+def test_zero_train_holds_no_more_than_a_slice():
+    """zero_train_eval on the CLI's 300 x 2048 set stays under 4 MB of traced peak.
+
+    One conv over the whole set holds about 15 MB of temporaries.
+    """
+    ds = zero_train_set()
+    tracemalloc.start()
+    try:
+        zero_train_eval(ds, kernel=Kernel(np.array(DEFAULT_ZERO_KERNEL)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
