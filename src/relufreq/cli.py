@@ -24,7 +24,7 @@ from .errors import ReluFreqError
 from .multitone import DatasetSpec, harmonic_stack, sample_dataset, synthesize
 from .relu_taylor import TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
-from .trainer import run_comparison, zero_train_eval
+from .trainer import ComparisonReport, run_comparison, zero_train_eval
 
 PRNG_ID = "numpy PCG64; normals via Box-Muller over two uniform draws"
 RRMSE_DEFINITION = "l2_norm(estimate - reference) / l2_norm(reference)"
@@ -115,29 +115,38 @@ def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _emit_json(path: str, payload) -> None:
+def _render_json(payload) -> str:
+    """Sorted-key JSON text; a non-finite number raises ValueError instead of writing NaN."""
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def emit_manifest(path: str, manifest: RunManifest) -> None:
     """Sorted-key JSON of the manifest; dataclasses in it are written field by field."""
-    _emit_json(path, asdict(manifest))
+    _write_text(path, _render_json(asdict(manifest)))
 
 
 def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
-    """Write every table and JSON file, then a manifest listing exactly those files."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, (header, rows) in artifacts.tables.items():
-        emit_csv(os.path.join(out_dir, name), header, rows)
-        written.append(name)
-    for name, payload in artifacts.json_files.items():
-        _emit_json(os.path.join(out_dir, name), payload)
-        written.append(name)
+    """Write every table and JSON file, then a manifest listing exactly those files.
+
+    The JSON files and the manifest are rendered before any file is written,
+    so a non-finite result fails with ValueError and nothing is written.
+    """
+    texts = {name: _render_json(payload) for name, payload in artifacts.json_files.items()}
+    written = [*artifacts.tables, *texts]
     manifest = RunManifest(
         command, artifacts.config, artifacts.seed, __version__, written, artifacts.results
     )
+    _render_json(asdict(manifest))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, rows) in artifacts.tables.items():
+        emit_csv(os.path.join(out_dir, name), header, rows)
+    for name, text in texts.items():
+        _write_text(os.path.join(out_dir, name), text)
     emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
 
@@ -283,26 +292,32 @@ def _cmd_heart_demo(args) -> Artifacts:
     )
 
 
+def _quartiles(stacked: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Median, 25th and 75th percentile over the repetitions (axis 0) of a stacked curve."""
+    q25, q75 = (np.quantile(stacked, q, axis=0) for q in (0.25, 0.75))
+    return np.median(stacked, axis=0), q25, q75
+
+
+def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[tuple]]:
+    """Long-format (header, rows) of one named curve: epoch, net, [layer], median, q25, q75.
+
+    A curve's epoch axis is last and ends at epoch E, so it starts at E + 1 -
+    its length: 1 for the loss, 0 (initialization) for the distance. A middle
+    (per-layer) axis becomes a 0-based layer column; rows run net, layer, epoch.
+    """
+    rows = []
+    for name, net in report.nets.items():
+        stats = _quartiles(net.curves[curve])
+        *layers, length = stats[0].shape
+        first = report.epochs + 1 - length
+        for layer in np.ndindex(*layers):
+            for i in range(length):
+                rows.append((first + i, name, *layer, *(stat[layer][i] for stat in stats)))
+    return ["epoch", "net", *["layer"] * len(layers), "median", "q25", "q75"], rows
+
+
 def _cmd_train_compare(args) -> Artifacts:
     report = run_comparison(args.reps, args.seed, epochs=args.epochs)
-    loss_rows = [
-        (epoch + 1, name, net.loss_median[epoch], net.loss_q25[epoch], net.loss_q75[epoch])
-        for name, net in report.nets.items()
-        for epoch in range(report.epochs)
-    ]
-    dist_rows = [
-        (
-            epoch,
-            name,
-            layer,
-            net.distance_median[layer, epoch],
-            net.distance_q25[layer, epoch],
-            net.distance_q75[layer, epoch],
-        )
-        for name, net in report.nets.items()
-        for layer in range(net.distance_median.shape[0])
-        for epoch in range(report.epochs + 1)
-    ]
     results: Dict[str, object] = {}
     for name, net in report.nets.items():
         results[name] = {
@@ -326,8 +341,8 @@ def _cmd_train_compare(args) -> Artifacts:
         },
         results=results,
         tables={
-            "loss_curves.csv": (["epoch", "net", "median", "q25", "q75"], loss_rows),
-            "distance_curves.csv": (["epoch", "net", "layer", "median", "q25", "q75"], dist_rows),
+            name: _curve_table(report, curve)
+            for name, curve in (("loss_curves.csv", "loss"), ("distance_curves.csv", "distance"))
         },
         seed=args.seed,
     )

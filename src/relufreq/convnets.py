@@ -33,7 +33,6 @@ class Kernel:
 class FilterResponse:
     frequencies: np.ndarray
     gains: np.ndarray
-    phases: np.ndarray
 
 
 @dataclass
@@ -82,7 +81,7 @@ def conv1d(signal: Signal, kernel: Kernel) -> Signal:
 def fir_response(
     kernel: Kernel, frequencies: Sequence[float], sample_rate: float
 ) -> FilterResponse:
-    """Gain and phase of the kernel's frequency response at each frequency."""
+    """Gain of the kernel's frequency response at each frequency."""
     freqs = np.asarray(frequencies, dtype=float)
     if np.any(freqs < 0) or np.any(freqs > sample_rate / 2.0):
         raise ValueError("frequencies must lie in [0, Nyquist]")
@@ -90,7 +89,7 @@ def fir_response(
     # response at normalized frequency f/fs: sum_n w_n exp(-i 2 pi (f/fs) n)
     z = np.exp(-2j * math.pi * np.outer(freqs / sample_rate, n))
     h = z @ kernel.taps
-    return FilterResponse(freqs, np.abs(h), np.angle(h))
+    return FilterResponse(freqs, np.abs(h))
 
 
 def avg_pool(signal: Signal, width: int, stride: int) -> Signal:

@@ -31,4 +31,4 @@ class DegenerateInputError(ReluFreqError):
 
 
 class DivergenceError(ReluFreqError):
-    """Training produced a non-finite loss."""
+    """A series or a training run produced a non-finite value."""

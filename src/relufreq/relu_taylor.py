@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, NonZeroPhaseError
+from .errors import DegenerateInputError, DivergenceError, NonZeroPhaseError
 from .multitone import CosineComponent, MultiTone, Signal, synthesize
 
 
@@ -153,7 +153,8 @@ def approximate_relu(
     ``approx_time.csv`` artifact depends on it (see TaylorConfig).
     The fluctuation is invariant under that scaling, so the report flags any
     samples with |u| >= 1 where the truncated series is unreliable; no
-    clamping is applied there.
+    clamping is applied there. Where the series' terms grow past the float
+    range the partial sum is no longer finite, and DivergenceError is raised.
     """
     if not tones.all_zero_phase():
         raise NonZeroPhaseError("approximation is defined for zero-phase tones")
@@ -167,8 +168,14 @@ def approximate_relu(
     x = synthesize(scaled, sample_rate, duration)
     fluct = power_fluctuation(scaled, sample_rate, duration)
     dc_amp = (math.sqrt(2.0) / 4.0) * math.sqrt(float(np.sum(scaled.amplitudes**2)))
-    series = sqrt1p_series(fluct.samples, cfg.n_terms)
-    approx = (x.samples / 2.0 + dc_amp * series) / cfg.prescale
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as DivergenceError
+        series = sqrt1p_series(fluct.samples, cfg.n_terms)
+        approx = (x.samples / 2.0 + dc_amp * series) / cfg.prescale
+    if not np.all(np.isfinite(approx)):
+        peak = float(np.max(np.abs(fluct.samples)))
+        raise DivergenceError(
+            f"the {cfg.n_terms}-term series is not finite where |u| reaches {peak:.17g}"
+        )
     return Signal(approx, sample_rate), convergence_report(fluct)
 
 

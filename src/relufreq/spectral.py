@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,30 @@ def dc_of(signal: Signal) -> float:
     return float(np.mean(signal.samples))
 
 
+def _norm(values: np.ndarray) -> float:
+    """Euclidean norm; scaled by the largest magnitude only where squaring overflows."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(values))
+    if not math.isinf(plain):
+        return plain
+    scale = float(np.max(np.abs(values)))
+    if math.isinf(scale):  # a value is itself infinite
+        return math.inf
+    return scale * float(np.linalg.norm(values / scale))
+
+
 def rrmse(reference: Signal, estimate: Signal) -> float:
-    """Relative root mean squared error: ||estimate - reference||_2 / ||reference||_2."""
+    """Relative root mean squared error: ||estimate - reference||_2 / ||reference||_2.
+
+    Norms whose squares leave the float range are computed max-scaled, so
+    finite samples give a finite result wherever the ratio itself is finite.
+    """
     if len(reference) != len(estimate):
         raise ValueError("reference and estimate must have equal length")
-    ref_norm = float(np.linalg.norm(reference.samples))
+    ref_norm = _norm(reference.samples)
     if ref_norm == 0.0:
         raise ZeroReferenceError("reference signal has zero norm")
-    return float(np.linalg.norm(estimate.samples - reference.samples) / ref_norm)
+    return _norm(estimate.samples - reference.samples) / ref_norm
 
 
 def band_occupancy(spec: Spectrum, threshold_fraction: float) -> float:

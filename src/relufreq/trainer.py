@@ -130,30 +130,34 @@ class AdamState:
 
 @dataclass
 class TrainingRecord:
-    """Per-epoch mean loss, per-layer distances from the initial weights, final accuracy.
+    """Named per-epoch curves of one training run, plus its final accuracy.
 
-    Distance lists carry epochs + 1 entries; entry 0 is the distance at
-    initialization, which is 0 by construction. final_accuracy is the
-    training-set accuracy after the last epoch, computed in batch_size slices.
+    curves["loss"] (E,) is the mean batch loss of epochs 1..E, and
+    curves["distance"] (n_conv, E + 1) each conv layer's distance from its
+    initial weights at epochs 0..E (0 at initialization). final_accuracy is
+    the training-set accuracy after the last epoch, in batch_size slices.
     """
 
-    epoch_losses: List[float]
-    weight_distances: List[List[float]]  # one list per conv layer
+    curves: Dict[str, np.ndarray]
     final_accuracy: float
 
 
 @dataclass
 class NetComparison:
-    name: str
-    loss_median: np.ndarray
-    loss_q25: np.ndarray
-    loss_q75: np.ndarray
-    distance_median: np.ndarray  # (n_conv_layers, epochs + 1)
-    distance_q25: np.ndarray
-    distance_q75: np.ndarray
-    final_losses: np.ndarray  # empty when no epoch ran
-    final_conv_distances: np.ndarray  # L2 over all conv parameters, per repetition
+    """One variant's curves stacked over repetitions as (reps, ...) arrays."""
+
+    curves: Dict[str, np.ndarray]
     final_accuracies: np.ndarray
+
+    @property
+    def final_losses(self) -> np.ndarray:
+        """Last-epoch loss per repetition; empty when no epoch ran."""
+        return self.curves["loss"][:, -1:].ravel()
+
+    @property
+    def final_conv_distances(self) -> np.ndarray:
+        """L2 distance over all conv parameters after the last epoch, per repetition."""
+        return np.sqrt((self.curves["distance"][:, :, -1] ** 2).sum(axis=1))
 
 
 @dataclass
@@ -477,11 +481,11 @@ def train(
     x, y = trainset.inputs, trainset.labels
     rng = np.random.Generator(np.random.PCG64(seed))
     arch = net.architecture
+    n_conv = len(arch.conv_layers)
     theta0 = net.theta.copy()
-    conv_dists: List[List[float]] = [[0.0] for _ in arch.conv_layers]
+    curves = {"loss": np.empty(epochs), "distance": np.zeros((n_conv, epochs + 1))}
     state = init_adam_state(net.theta, adam_hyper)
     current = net
-    epoch_losses: List[float] = []
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(y.size)
         batch_losses = []
@@ -495,13 +499,12 @@ def train(
             grad = backward(current, cache, y[idx])
             state, theta = adam_step(state, current.theta, grad)
             current = replace(current, theta=theta)
-        epoch_losses.append(float(np.mean(batch_losses)))
-        # zip stops at the conv layers; the dense-head distances are not recorded
-        for curve, dist in zip(conv_dists, weight_distance(arch, theta0, current.theta)):
-            curve.append(dist)
+        curves["loss"][epoch - 1] = np.mean(batch_losses)
+        # the dense-head distances are not recorded
+        curves["distance"][:, epoch] = weight_distance(arch, theta0, current.theta)[:n_conv]
     starts = range(0, y.size, batch_size)
     logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
-    return TrainingRecord(epoch_losses, conv_dists, float(np.mean(np.argmax(logits, axis=1) == y)))
+    return TrainingRecord(curves, float(np.mean(np.argmax(logits, axis=1) == y)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,23 +585,13 @@ def run_comparison(
             )
             records[name].append(record)
 
-    nets: Dict[str, NetComparison] = {}
-    for name, recs in records.items():
-        losses = np.array([r.epoch_losses for r in recs])  # (reps, epochs)
-        dists = np.array([r.weight_distances for r in recs])  # (reps, n_conv, epochs+1)
-        final_total = np.sqrt((dists[:, :, -1] ** 2).sum(axis=1))
-        nets[name] = NetComparison(
-            name=name,
-            loss_median=np.median(losses, axis=0),
-            loss_q25=np.quantile(losses, 0.25, axis=0),
-            loss_q75=np.quantile(losses, 0.75, axis=0),
-            distance_median=np.median(dists, axis=0),
-            distance_q25=np.quantile(dists, 0.25, axis=0),
-            distance_q75=np.quantile(dists, 0.75, axis=0),
-            final_losses=losses[:, -1] if epochs > 0 else np.empty(0),
-            final_conv_distances=final_total,
-            final_accuracies=np.array([r.final_accuracy for r in recs]),
+    nets = {
+        name: NetComparison(
+            {curve: np.stack([r.curves[curve] for r in recs]) for curve in recs[0].curves},
+            np.array([r.final_accuracy for r in recs]),
         )
+        for name, recs in records.items()
+    }
     architectures = {name: variant[0] for name, variant in variants.items()}
     return ComparisonReport(
         n_repetitions, base_seed, epochs, batch_size, adam_hyper, spec, levels, architectures, nets

@@ -1,15 +1,26 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relufreq import trainer
-from relufreq.cli import RunManifest, emit_csv, emit_manifest, run
+from relufreq import cli, trainer
+from relufreq.cli import RunManifest, _curve_table, emit_csv, emit_manifest, run
 from relufreq.multitone import DatasetSpec
-from relufreq.trainer import AdamHyper, Architecture, ConvLayerSpec, default_dataset_spec
+from relufreq.trainer import (
+    AdamHyper,
+    Architecture,
+    ConvLayerSpec,
+    default_dataset_spec,
+    run_comparison,
+)
 
 
 def read(path):
@@ -113,6 +124,8 @@ class TestDispatcher:
             (["coeffs", "--n", str(10**18)], "MemoryError"),
             (["approx", "--terms", str(10**18)], "MemoryError"),
             (["approx", "--fs", "1e18"], "MemoryError"),
+            # u peaks at 7, so the series' terms overflow from about 366 terms
+            (["approx", "--terms", "400"], "DivergenceError"),
         ],
     )
     def test_failure_exits_1_with_public_error_name(
@@ -124,6 +137,13 @@ class TestDispatcher:
         assert captured.err.startswith(f"error: {name}: ")
         assert captured.out == ""
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_non_finite_result_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "rrmse", lambda reference, estimate: math.nan)
+        out = tmp_path / "nan"
+        assert run(["approx", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -141,6 +161,34 @@ class TestDispatcher:
         capsys.readouterr()
         listed = json.loads(read(out / "manifest.json"))["output_files"]
         assert sorted(listed + ["manifest.json"]) == sorted(p.name for p in out.iterdir())
+
+
+def _fail_on_constant(name):
+    raise AssertionError(f"manifest holds {name}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 1000), st.integers(1, 6))
+@example(terms=300, harmonics=4)  # finite samples whose squares overflow in a plain norm
+@example(terms=400, harmonics=4)  # the partial sum overflows
+def test_approx_exits_0_with_finite_outputs_or_1_with_no_csv(terms, harmonics):
+    argv = ["approx", "--terms", str(terms), "--harmonics", str(harmonics)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv + ["--out", str(out)])
+        if code == 1:
+            # the series overflowing is the one failure here; a ValueError would
+            # mean a non-finite result got as far as the manifest's JSON guard
+            assert err.getvalue().startswith("error: DivergenceError: ")
+            assert not list(Path(tmp).rglob("*.csv"))
+            return
+        assert code == 0
+        json.loads(read(out / "manifest.json"), parse_constant=_fail_on_constant)
+        for csv in out.glob("*.csv"):
+            lines = read(csv).decode().strip().split("\n")[1:]
+            assert all(math.isfinite(float(v)) for line in lines for v in line.split(","))
 
 
 class TestCoeffs:
@@ -359,6 +407,52 @@ class TestZeroTrain:
     def test_bad_kernel_string_exits_2(self, capsys):
         assert run(["zero-train", "--kernel", "0.6"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, monkeypatch):
+    """Each row's median and quartiles equal numpy's on that cell's per-repetition values."""
+    records = []
+    train = trainer.train
+
+    def recording_train(*args):
+        records.append(train(*args))
+        return records[-1]
+
+    monkeypatch.setattr(trainer, "train", recording_train)
+    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 8, 64.0, 1.0)
+    epochs = 2
+    report = run_comparison(3, seed, epochs=epochs, batch_size=8, dataset_spec=spec)
+    names = list(report.nets)
+    # run_comparison trains every variant of a repetition before the next repetition
+    by_net = {name: records[i :: len(names)] for i, name in enumerate(names)}
+
+    def cell(values):
+        return (np.median(values), np.quantile(values, 0.25), np.quantile(values, 0.75))
+
+    loss_rows, dist_rows = [], []
+    for name, recs in by_net.items():
+        assert len(recs) == 3
+        for epoch in range(1, epochs + 1):
+            values = [r.curves["loss"][epoch - 1] for r in recs]
+            loss_rows.append((epoch, name, *cell(values)))
+        for layer in range(2):
+            for epoch in range(0, epochs + 1):
+                values = [r.curves["distance"][layer, epoch] for r in recs]
+                dist_rows.append((epoch, name, layer, *cell(values)))
+        net = report.nets[name]
+        assert net.final_losses.tolist() == [r.curves["loss"][-1] for r in recs]
+        assert net.final_conv_distances.tolist() == [
+            math.sqrt(sum(d * d for d in r.curves["distance"][:, -1])) for r in recs
+        ]
+
+    assert _curve_table(report, "loss") == (["epoch", "net", "median", "q25", "q75"], loss_rows)
+    assert _curve_table(report, "distance") == (
+        ["epoch", "net", "layer", "median", "q25", "q75"],
+        dist_rows,
+    )
+    assert {row[0] for row in loss_rows} == {1, 2}
+    assert {row[0] for row in dist_rows} == {0, 1, 2}
 
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"

@@ -32,7 +32,7 @@ from relufreq import (
     zero_train_eval,
 )
 from relufreq import trainer
-from relufreq.cli import DEFAULT_ZERO_KERNEL, ZERO_TRAIN_SPEC
+from relufreq.cli import DEFAULT_ZERO_KERNEL, ZERO_TRAIN_SPEC, _quartiles
 from relufreq.trainer import (
     _comparison_architecture,
     _conv_forward,
@@ -570,8 +570,8 @@ class TestTrain:
 
     def test_zero_epochs(self):
         record = train(init_network(self.arch, 0), toy_separable_set(), 0, 8)
-        assert record.epoch_losses == []
-        assert record.weight_distances == [[0.0]]
+        assert record.curves["loss"].shape == (0,)
+        assert record.curves["distance"].tolist() == [[0.0]]
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError):
@@ -591,18 +591,19 @@ class TestTrain:
             record = train(
                 init_network(self.arch, seed), toy_separable_set(), 8, 8, seed=seed
             )
-            drops.append(record.epoch_losses[-1] < record.epoch_losses[0])
+            drops.append(record.curves["loss"][-1] < record.curves["loss"][0])
         assert sum(drops) >= 3  # median over 5 seeds decreases
 
     def test_record_shapes_and_determinism(self):
         ds = toy_separable_set()
         a = train(init_network(self.arch, 3), ds, 4, 8, seed=17)
         b = train(init_network(self.arch, 3), ds, 4, 8, seed=17)
-        assert a.epoch_losses == b.epoch_losses
-        assert a.weight_distances == b.weight_distances
+        assert a.curves.keys() == b.curves.keys() == {"loss", "distance"}
+        for name in a.curves:
+            assert np.array_equal(a.curves[name], b.curves[name])
         assert a.final_accuracy == b.final_accuracy
-        assert len(a.epoch_losses) == 4
-        assert all(len(d) == 5 for d in a.weight_distances)
+        assert a.curves["loss"].shape == (4,)
+        assert a.curves["distance"].shape == (1, 5)
 
 
 def generic_comparison_net(activation, seed):
@@ -670,10 +671,11 @@ class TestRunComparison:
         report = run_comparison(1, 0, epochs=2, batch_size=8, dataset_spec=spec)
         assert report.n_repetitions == 1
         for net in report.nets.values():
-            assert net.loss_median.shape == (2,)
-            assert np.array_equal(net.loss_median, net.loss_q25)
-            assert np.array_equal(net.loss_median, net.loss_q75)
-            assert net.distance_median.shape == (2, 3)
+            assert net.curves["loss"].shape == (1, 2)
+            median, q25, q75 = _quartiles(net.curves["loss"])
+            assert np.array_equal(median, q25)
+            assert np.array_equal(median, q75)
+            assert net.curves["distance"].shape == (1, 2, 3)
             assert net.final_losses.shape == (1,)
 
     def test_zero_epochs_leave_final_losses_empty(self):
@@ -681,7 +683,7 @@ class TestRunComparison:
         report = run_comparison(1, 0, epochs=0, batch_size=8, dataset_spec=spec)
         for net in report.nets.values():
             assert net.final_losses.size == 0
-            assert net.loss_median.shape == (0,)
+            assert net.curves["loss"].shape == (1, 0)
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError):
@@ -692,7 +694,7 @@ class TestRunComparison:
         a = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
         b = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
         for name in a.nets:
-            assert np.array_equal(a.nets[name].loss_median, b.nets[name].loss_median)
+            assert np.array_equal(a.nets[name].curves["loss"], b.nets[name].curves["loss"])
             assert np.array_equal(
                 a.nets[name].final_conv_distances, b.nets[name].final_conv_distances
             )
