@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,8 +68,9 @@ class RunManifest:
 class Artifacts:
     """What a file-writing subcommand produced, handed to ``_write_artifacts``.
 
-    ``tables`` maps CSV names to (header, rows), ``json_files`` maps JSON
-    names to payloads; ``summary`` is printed once everything is written.
+    ``tables`` maps CSV names to (header, columns), where the columns are
+    equal-length 1-D arrays or sequences, one per header name; ``json_files``
+    maps JSON names to payloads; ``summary`` is printed once everything is written.
     """
 
     config: Dict[str, object]
@@ -103,16 +105,31 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """UTF-8 comma-separated output with 17-significant-digit numerics."""
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("rows must be rectangular and match the header width")
+# one %-format per column dtype kind; "%.17g" % v equals format(v, ".17g") as _fmt prints it
+_COLUMN_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
+
+
+def emit_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """UTF-8 comma-separated table of equal-length 1-D columns, one per header name.
+
+    Floats are written with 17 significant digits, integers in decimal and
+    strings verbatim; any other dtype (bool, complex, object, ...) raises
+    ValueError, as do a column count that differs from the header, a column
+    that is not 1-D and columns of unequal length.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    if len(arrays) != len(header):
+        raise ValueError(f"{len(arrays)} columns for {len(header)} header names")
+    if any(a.ndim != 1 for a in arrays) or len({a.shape for a in arrays}) > 1:
+        raise ValueError("columns must be 1-D and of equal length")
+    formats = [_COLUMN_FORMATS.get(a.dtype.kind) for a in arrays]
+    if None in formats:
+        raise ValueError(f"no CSV format for column dtypes {[str(a.dtype) for a in arrays]}")
+    line = ",".join(formats) + "\n"
+    cells = [a.tolist() for a in arrays]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in zip(*cells))
 
 
 def _render_json(payload) -> str:
@@ -133,9 +150,15 @@ def emit_manifest(path: str, manifest: RunManifest) -> None:
 def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
     """Write every table and JSON file, then a manifest listing exactly those files.
 
-    The JSON files and the manifest are rendered before any file is written,
-    so a non-finite result fails with ValueError and nothing is written.
+    Every float column is checked and the JSON files and the manifest are
+    rendered before any file is written, so a non-finite value in a table or
+    a result fails with ValueError and nothing is written.
     """
+    for name, (header, columns) in artifacts.tables.items():
+        for label, column in zip(header, columns):
+            column = np.asarray(column)
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                raise ValueError(f"{name} column {label!r} holds a non-finite value")
     texts = {name: _render_json(payload) for name, payload in artifacts.json_files.items()}
     written = [*artifacts.tables, *texts]
     manifest = RunManifest(
@@ -143,8 +166,8 @@ def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
     )
     _render_json(asdict(manifest))
     os.makedirs(out_dir, exist_ok=True)
-    for name, (header, rows) in artifacts.tables.items():
-        emit_csv(os.path.join(out_dir, name), header, rows)
+    for name, (header, columns) in artifacts.tables.items():
+        emit_csv(os.path.join(out_dir, name), header, columns)
     for name, text in texts.items():
         _write_text(os.path.join(out_dir, name), text)
     emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
@@ -205,11 +228,11 @@ def _cmd_approx(args) -> Artifacts:
         tables={
             "approx_time.csv": (
                 ["t", "x", "relu_x", "approx"],
-                list(zip(x.times, x.samples, y_relu.samples, approx.samples)),
+                [x.times, x.samples, y_relu.samples, approx.samples],
             ),
             "approx_spectrum.csv": (
                 ["f", "x_mag", "relu_mag", "approx_mag"],
-                list(zip(freqs, x_mag, relu_mag, approx_mag)),
+                [freqs, x_mag, relu_mag, approx_mag],
             ),
         },
         json_files={"convergence.json": convergence},
@@ -255,9 +278,9 @@ def _cmd_proto(args) -> Artifacts:
         tables={
             "layer_spectra.csv": (
                 ["f"] + [f"layer_{i}" for i in range(len(signals))],
-                list(zip(freqs, *columns)),
+                [freqs, *columns],
             ),
-            "occupancy.csv": (["layer", "occupancy"], list(enumerate(occupancies))),
+            "occupancy.csv": (["layer", "occupancy"], [np.arange(len(signals)), occupancies]),
         },
     )
 
@@ -270,10 +293,8 @@ def _cmd_heart_demo(args) -> Artifacts:
         MOVING_AVERAGE, depth=HEART_DEPTH, avg_len=HEART_AVG_LEN, pool=HEART_POOL
     )
     layers = run_prototype(stack, x)
-    rows = []
-    for i, sig in enumerate([x] + layers):
-        freqs, mags = spectrum(sig).one_sided()
-        rows.extend((i, f, m) for f, m in zip(freqs, mags))
+    freqs, mags = zip(*(spectrum(sig).one_sided() for sig in [x] + layers))
+    layer = np.repeat(np.arange(len(freqs)), [f.size for f in freqs])
     return Artifacts(
         config={
             "heart_rate_hz": args.hr,
@@ -288,7 +309,12 @@ def _cmd_heart_demo(args) -> Artifacts:
             "dft_normalization": DFT_NORMALIZATION,
         },
         results={"layer_sample_rates_hz": [sig.sample_rate for sig in [x] + layers]},
-        tables={"heart_spectra.csv": (["layer", "f", "magnitude"], rows)},
+        tables={
+            "heart_spectra.csv": (
+                ["layer", "f", "magnitude"],
+                [layer, np.concatenate(freqs), np.concatenate(mags)],
+            )
+        },
     )
 
 
@@ -298,22 +324,24 @@ def _quartiles(stacked: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.median(stacked, axis=0), q25, q75
 
 
-def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[tuple]]:
-    """Long-format (header, rows) of one named curve: epoch, net, [layer], median, q25, q75.
+def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[np.ndarray]]:
+    """Long-format (header, columns) of one named curve: epoch, net, [layer], median, q25, q75.
 
     A curve's epoch axis is last and ends at epoch E, so it starts at E + 1 -
     its length: 1 for the loss, 0 (initialization) for the distance. A middle
     (per-layer) axis becomes a 0-based layer column; rows run net, layer, epoch.
     """
-    rows = []
+    parts = []
     for name, net in report.nets.items():
         stats = _quartiles(net.curves[curve])
-        *layers, length = stats[0].shape
-        first = report.epochs + 1 - length
-        for layer in np.ndindex(*layers):
-            for i in range(length):
-                rows.append((first + i, name, *layer, *(stat[layer][i] for stat in stats)))
-    return ["epoch", "net", *["layer"] * len(layers), "median", "q25", "q75"], rows
+        shape = stats[0].shape
+        # row-major cell indices: the layer axes, then the epoch axis
+        *layers, epoch = np.indices(shape).reshape(len(shape), -1)
+        epoch += report.epochs + 1 - shape[-1]
+        names = np.repeat(name, epoch.size)
+        parts.append([epoch, names, *layers, *(stat.ravel() for stat in stats)])
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    return ["epoch", "net", *["layer"] * (len(columns) - 5), "median", "q25", "q75"], columns
 
 
 def _cmd_train_compare(args) -> Artifacts:
@@ -383,10 +411,10 @@ def _cmd_zero_train(args) -> Artifacts:
             "class_gains": report.class_gains,
         },
         tables={
-            "response.csv": (["f", "b"], list(zip(response.frequencies, response.gains))),
+            "response.csv": (["f", "b"], [response.frequencies, response.gains]),
             "dc_by_class.csv": (
                 ["f_i", "dc", "class"],
-                list(zip(report.sample_freqs, report.sample_dcs, report.sample_labels)),
+                [report.sample_freqs, report.sample_dcs, report.sample_labels],
             ),
         },
         seed=seed,
@@ -398,7 +426,9 @@ def _cmd_zero_train(args) -> Artifacts:
 # dispatcher
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="relufreq",
         description="Frequency-domain experiments on the ReLU activation",

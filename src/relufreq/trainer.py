@@ -616,8 +616,9 @@ def zero_train_eval(
     Exactly one of kernel / seed must be given; a seed draws the two taps
     uniformly from [-sqrt(1/2), sqrt(1/2)] like a fan-in-scaled random init.
     Class prototypes are the per-class mean DCs of this dataset and accuracy
-    is nearest-prototype classification of the same samples; classes that
-    share a mean DC raise DegenerateInputError.
+    is nearest-prototype classification of the same samples; a kernel whose
+    per-sample DCs are not finite raises ValueError, and classes that share a
+    mean DC raise DegenerateInputError.
 
     A sample's DC is the row mean of relu of the causal 2-tap conv. It is
     computed over consecutive row slices of the dataset; with one input
@@ -641,9 +642,12 @@ def zero_train_eval(
     x = dataset.inputs
     rows = max(1, _DC_SLICE_SAMPLES // x.shape[1])
     dcs = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], rows):
-        conv = _conv_forward(x[start : start + rows, None, :], taps[None, None, :])[:, 0, :]
-        dcs[start : start + rows] = np.maximum(conv, 0.0).mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        for start in range(0, x.shape[0], rows):
+            conv = _conv_forward(x[start : start + rows, None, :], taps[None, None, :])[:, 0, :]
+            dcs[start : start + rows] = np.maximum(conv, 0.0).mean(axis=1)
+    if not np.isfinite(dcs).all():
+        raise ValueError(f"kernel {taps.tolist()} overflows the per-sample DCs")
     labels, freqs = dataset.labels, dataset.frequencies
 
     classes = np.unique(labels)

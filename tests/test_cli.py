@@ -31,26 +31,88 @@ def read(path):
 class TestEmitCsv:
     def test_literal_format(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv(str(path), ["t", "x"], [[0, 1.0]])
+        emit_csv(str(path), ["t", "x"], [[0], [1.0]])
         assert read(path) == b"t,x\n0,1\n"
 
     def test_empty_rows_keep_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(str(path), ["a", "b", "c"], [])
+        emit_csv(str(path), ["a", "b", "c"], [[], [], []])
         assert read(path) == b"a,b,c\n"
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         values = list(rng.standard_normal(50) * 10.0 ** rng.integers(-8, 8, 50))
         path = tmp_path / "rt.csv"
-        emit_csv(str(path), ["v"], [[v] for v in values])
+        emit_csv(str(path), ["v"], [values])
         lines = read(path).decode().strip().split("\n")[1:]
         recovered = [float(line) for line in lines]
         assert all(a == b for a, b in zip(recovered, values))
 
     def test_ragged_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(str(tmp_path / "bad.csv"), ["a", "b"], [[1.0]])
+            emit_csv(str(tmp_path / "bad.csv"), ["a", "b"], [[1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["a", "b"], [[1.0]]),
+            (["a"], [[1.0], [2.0]]),
+            (["a"], [np.zeros((2, 2))]),
+            (["a"], [np.float64(1.0)]),
+            (["a"], [np.array([True, False])]),
+            (["a"], [np.array([1j])]),
+            (["a"], [np.array([1.0, "x"], dtype=object)]),
+            (["a"], [np.array([b"x"])]),
+        ],
+        ids=["too-few", "too-many", "2-D", "0-D", "bool", "complex", "object", "bytes"],
+    )
+    def test_malformed_columns_rejected(self, header, columns, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            emit_csv(str(path), header, columns)
+        assert not path.exists()
+
+
+def per_cell_csv(header, columns):
+    """The CSV bytes of one ``_fmt`` call per cell: the reference for ``emit_csv``."""
+    lines = [",".join(header)]
+    lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(float).max])
+        .view(np.uint64)
+        .tolist()
+    ),
+)
+CELLS = {
+    "float": st.lists(FLOAT_BITS).map(lambda bits: np.array(bits, np.uint64).view(np.float64)),
+    "int": st.lists(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, np.int64)),
+    # numpy drops trailing NULs from its strings, so none are drawn
+    "str": st.lists(st.text(st.characters(blacklist_characters="\x00,\n", codec="utf-8"))),
+}
+
+
+@st.composite
+def column_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    columns = [draw(CELLS[kind]) for kind in kinds]
+    rows = min(len(column) for column in columns)
+    return [f"c{i}" for i in range(len(kinds))], [column[:rows] for column in columns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_tables())
+def test_emit_csv_equals_a_per_cell_format(table):
+    """Float bit patterns (zeros, subnormals, the largest finite), int64 and str columns."""
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        emit_csv(str(path), header, columns)
+        assert read(path) == per_cell_csv(header, columns)
 
 
 class TestEmitManifest:
@@ -126,6 +188,10 @@ class TestDispatcher:
             (["approx", "--fs", "1e18"], "MemoryError"),
             # u peaks at 7, so the series' terms overflow from about 366 terms
             (["approx", "--terms", "400"], "DivergenceError"),
+            # the per-sample DCs overflow to inf or nan: not a tie between classes
+            (["zero-train", "--kernel", "1e308,1e308"], "ValueError"),
+            (["zero-train", "--kernel", "1e308,-1e308"], "ValueError"),
+            (["zero-train", "--kernel", "1.7e308,0.1"], "ValueError"),
         ],
     )
     def test_failure_exits_1_with_public_error_name(
@@ -143,6 +209,23 @@ class TestDispatcher:
         out = tmp_path / "nan"
         assert run(["approx", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ValueError: ")
+        assert not out.exists()
+
+    def test_non_finite_table_cell_exits_1_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        spectrum = cli.spectrum
+
+        def nan_spectrum(signal):
+            sp = spectrum(signal)
+            sp.bins[3] = math.nan
+            return sp
+
+        monkeypatch.setattr(cli, "spectrum", nan_spectrum)
+        out = tmp_path / "nan"
+        assert run(["heart-demo", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: heart_spectra.csv column 'magnitude' ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -408,6 +491,14 @@ class TestZeroTrain:
         assert run(["zero-train", "--kernel", "0.6"]) == 2
         capsys.readouterr()
 
+    def test_no_parsed_state_leaks_between_runs(self, tmp_path, capsys):
+        assert run(["zero-train", "--kernel", "0.5,0.5", "--out", str(tmp_path / "k")]) == 0
+        assert run(["zero-train", "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        config = json.loads(read(tmp_path / "d" / "manifest.json"))["full_config"]
+        assert config["kernel_source"] == "default"
+        assert config["kernel_taps"] == [0.6, 0.4]
+
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, monkeypatch):
@@ -446,8 +537,15 @@ def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, monkeypatch):
             math.sqrt(sum(d * d for d in r.curves["distance"][:, -1])) for r in recs
         ]
 
-    assert _curve_table(report, "loss") == (["epoch", "net", "median", "q25", "q75"], loss_rows)
-    assert _curve_table(report, "distance") == (
+    def as_rows(table):
+        header, columns = table
+        return header, list(zip(*(np.asarray(column).tolist() for column in columns)))
+
+    assert as_rows(_curve_table(report, "loss")) == (
+        ["epoch", "net", "median", "q25", "q75"],
+        loss_rows,
+    )
+    assert as_rows(_curve_table(report, "distance")) == (
         ["epoch", "net", "layer", "median", "q25", "q75"],
         dist_rows,
     )
@@ -464,8 +562,20 @@ DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
         ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "0"],
         ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "1"],
         ["zero-train", "--seed", "0"],
+        ["approx"],
+        ["proto", "--kind", "dif"],
+        ["proto", "--kind", "avg"],
+        ["heart-demo"],
     ],
-    ids=["train-compare-seed0", "train-compare-seed1", "zero-train-seed0"],
+    ids=[
+        "train-compare-seed0",
+        "train-compare-seed1",
+        "zero-train-seed0",
+        "approx",
+        "proto-dif",
+        "proto-avg",
+        "heart-demo",
+    ],
 )
 def test_artifacts_match_recorded_digests(argv, tmp_path, capsys):
     """Every CSV, and the manifest results, hash to the digests recorded from the seed sources."""

@@ -783,6 +783,13 @@ class TestZeroTrain:
         with pytest.raises(DegenerateInputError, match="share a mean DC"):
             zero_train_eval(ds, kernel=Kernel(np.array([0.0, 0.0])))
 
+    @pytest.mark.parametrize("taps", [(1e308, 1e308), (1e308, -1e308), (1.7e308, 0.1)])
+    def test_overflowing_kernel_rejected_before_the_tie_check(self, taps):
+        """The class mean DCs overflow to inf, which the tie check would report as a tie."""
+        ds = sample_dataset(self.spec, 7)
+        with pytest.raises(ValueError, match=r"kernel \[.*\] overflows the per-sample DCs"):
+            zero_train_eval(ds, kernel=Kernel(np.array(taps)))
+
     def test_classes_with_equal_mean_dcs_rejected(self):
         row = np.cos(2 * np.pi * 5.0 * np.arange(64) / 64.0)
         ds = LabeledSet(np.tile(row, (6, 1)), np.repeat([0, 1, 2], 2), 64.0, np.full(6, 5.0))
