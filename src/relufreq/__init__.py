@@ -22,6 +22,7 @@ from .multitone import (
     DatasetSpec,
     LabeledSet,
     MultiTone,
+    ProbeSpec,
     Signal,
     harmonic_stack,
     sample_dataset,

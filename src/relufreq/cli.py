@@ -7,7 +7,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .convnets import (
     run_prototype,
 )
 from .errors import ReluFreqError
-from .multitone import DatasetSpec, harmonic_stack, sample_dataset, synthesize
+from .multitone import DatasetSpec, ProbeSpec, sample_dataset
 from .relu_taylor import TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
 from .trainer import ComparisonReport, run_comparison, zero_train_eval
@@ -32,14 +32,9 @@ RRMSE_DEFINITION = "l2_norm(estimate - reference) / l2_norm(reference)"
 DFT_NORMALIZATION = "DFT / N; unit bin-aligned cosine -> magnitude 0.5 at +/- f"
 OCCUPANCY_THRESHOLD = 0.01
 
-PROBE_F0 = 5.0
-PROBE_HARMONICS = 4
-
-HEART_FS = 64.0
-HEART_DURATION = 8.0
-HEART_DEPTH = 3
-HEART_AVG_LEN = 4
-HEART_POOL = (2, 2)
+PROBE = ProbeSpec(f0=5.0, amplitudes=(1.0,) * 4, sample_rate=1024.0, duration=1.0)
+HEART_PROBE = ProbeSpec(f0=1.2, amplitudes=(1.0, 0.5), sample_rate=64.0, duration=8.0)
+HEART_STACK = make_prototype_stack(MOVING_AVERAGE, depth=3, avg_len=4, pool=(2, 2))
 
 ZERO_TRAIN_SPEC = DatasetSpec(
     class_means=(3.0, 5.0, 10.0),
@@ -197,12 +192,11 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_approx(args) -> Artifacts:
-    amplitudes = [1.0] * args.harmonics
-    tones = harmonic_stack(args.f0, args.harmonics, amplitudes)
-    x = synthesize(tones, args.fs, args.duration)
+    probe = ProbeSpec(args.f0, (1.0,) * args.harmonics, args.fs, args.duration)
+    x = probe.signal()
     y_relu = relu(x)
     cfg = TaylorConfig(args.terms, args.prescale)
-    approx, report = approximate_relu(tones, args.fs, args.duration, cfg)
+    approx, report = approximate_relu(probe.tones, probe.sample_rate, probe.duration, cfg)
     err = rrmse(y_relu, approx)
     freqs, x_mag = spectrum(x).one_sided()
     _, relu_mag = spectrum(y_relu).one_sided()
@@ -214,13 +208,8 @@ def _cmd_approx(args) -> Artifacts:
     }
     return Artifacts(
         config={
-            "f0_hz": args.f0,
-            "harmonics": args.harmonics,
-            "amplitudes": amplitudes,
-            "sample_rate_hz": args.fs,
-            "duration_s": args.duration,
-            "n_terms": args.terms,
-            "prescale": args.prescale,
+            "probe": probe,
+            "taylor": cfg,
             "rrmse_definition": RRMSE_DEFINITION,
             "dft_normalization": DFT_NORMALIZATION,
         },
@@ -243,9 +232,8 @@ def _cmd_approx(args) -> Artifacts:
 def _cmd_proto(args) -> Artifacts:
     kind = DIFFERENTIATOR if args.kind == "dif" else MOVING_AVERAGE
     stack = make_prototype_stack(kind, depth=args.depth, avg_len=args.avg_len)
-    amplitudes = [1.0] * PROBE_HARMONICS
-    tones = harmonic_stack(PROBE_F0, PROBE_HARMONICS, amplitudes)
-    x = synthesize(tones, args.fs, 1.0)
+    probe = replace(PROBE, sample_rate=args.fs)
+    x = probe.signal()
     layers = run_prototype(stack, x)
 
     signals = [x] + layers
@@ -255,22 +243,15 @@ def _cmd_proto(args) -> Artifacts:
     occupancies = [band_occupancy(sp, OCCUPANCY_THRESHOLD) for sp in spectra]
     results: Dict[str, object] = {"occupancy_per_layer": occupancies}
     if kind == MOVING_AVERAGE:
-        first_null = args.fs / args.avg_len
+        first_null = probe.sample_rate / stack.kernel.taps.size
         results["first_null_hz"] = first_null
         results["energy_above_first_null_per_layer"] = [
             energy_fraction_above(sp, first_null) for sp in spectra
         ]
     return Artifacts(
         config={
-            "kind": kind,
-            "depth": args.depth,
-            "avg_len": args.avg_len,
-            "kernel_taps": stack.kernel.taps,
-            "sample_rate_hz": args.fs,
-            "duration_s": 1.0,
-            "input_f0_hz": PROBE_F0,
-            "input_harmonics": PROBE_HARMONICS,
-            "input_amplitudes": amplitudes,
+            "probe": probe,
+            "stack": stack,
             "occupancy_threshold": OCCUPANCY_THRESHOLD,
             "dft_normalization": DFT_NORMALIZATION,
         },
@@ -286,28 +267,13 @@ def _cmd_proto(args) -> Artifacts:
 
 
 def _cmd_heart_demo(args) -> Artifacts:
-    amplitudes = [1.0, 0.5]
-    tones = harmonic_stack(args.hr, 2, amplitudes)
-    x = synthesize(tones, HEART_FS, HEART_DURATION)
-    stack = make_prototype_stack(
-        MOVING_AVERAGE, depth=HEART_DEPTH, avg_len=HEART_AVG_LEN, pool=HEART_POOL
-    )
-    layers = run_prototype(stack, x)
+    probe = replace(HEART_PROBE, f0=args.hr)
+    x = probe.signal()
+    layers = run_prototype(HEART_STACK, x)
     freqs, mags = zip(*(spectrum(sig).one_sided() for sig in [x] + layers))
     layer = np.repeat(np.arange(len(freqs)), [f.size for f in freqs])
     return Artifacts(
-        config={
-            "heart_rate_hz": args.hr,
-            "harmonics": 2,
-            "amplitudes": amplitudes,
-            "sample_rate_hz": HEART_FS,
-            "duration_s": HEART_DURATION,
-            "kind": MOVING_AVERAGE,
-            "depth": HEART_DEPTH,
-            "avg_len": HEART_AVG_LEN,
-            "pool_width_stride": list(HEART_POOL),
-            "dft_normalization": DFT_NORMALIZATION,
-        },
+        config={"probe": probe, "stack": HEART_STACK, "dft_normalization": DFT_NORMALIZATION},
         results={"layer_sample_rates_hz": [sig.sample_rate for sig in [x] + layers]},
         tables={
             "heart_spectra.csv": (
@@ -414,7 +380,7 @@ def _cmd_zero_train(args) -> Artifacts:
             "response.csv": (["f", "b"], [response.frequencies, response.gains]),
             "dc_by_class.csv": (
                 ["f_i", "dc", "class"],
-                [report.sample_freqs, report.sample_dcs, report.sample_labels],
+                [dataset.frequencies, report.sample_dcs, dataset.labels],
             ),
         },
         seed=seed,
@@ -440,10 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("approx", help="series approximation of relu on a harmonic probe")
-    p.add_argument("--f0", type=float, default=5.0)
-    p.add_argument("--harmonics", type=int, default=4)
-    p.add_argument("--fs", type=float, default=1024.0)
-    p.add_argument("--duration", type=float, default=1.0)
+    p.add_argument("--f0", type=float, default=PROBE.f0)
+    p.add_argument("--harmonics", type=int, default=len(PROBE.amplitudes))
+    p.add_argument("--fs", type=float, default=PROBE.sample_rate)
+    p.add_argument("--duration", type=float, default=PROBE.duration)
     p.add_argument("--terms", type=int, default=50)
     p.add_argument("--prescale", type=float, default=1e-4)
     p.add_argument("--out", default=".")
@@ -453,12 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["dif", "avg"], required=True)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--avg-len", type=int, default=8, dest="avg_len")
-    p.add_argument("--fs", type=float, default=1024.0)
+    p.add_argument("--fs", type=float, default=PROBE.sample_rate)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_proto)
 
     p = sub.add_parser("heart-demo", help="two-tone heart probe through a pooled stack")
-    p.add_argument("--hr", type=float, default=1.2)
+    p.add_argument("--hr", type=float, default=HEART_PROBE.f0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_heart_demo)
 
@@ -493,7 +459,7 @@ def run(argv: Sequence[str]) -> int:
             if artifacts.summary is not None:
                 print(artifacts.summary)
         return 0
-    except (ReluFreqError, ValueError, OSError, MemoryError) as exc:
+    except (ReluFreqError, ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy raises a private MemoryError subclass; print the public name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(f"error: {name}: {exc}", file=sys.stderr)

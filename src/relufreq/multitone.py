@@ -139,6 +139,26 @@ class DatasetSpec:
         return len(self.class_means)
 
 
+@dataclass(frozen=True)
+class ProbeSpec:
+    """Zero-phase harmonic probe: tone i*f0 at ``amplitudes[i-1]`` for i = 1..len(amplitudes)."""
+
+    f0: float
+    amplitudes: tuple
+    sample_rate: float
+    duration: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
+
+    @property
+    def tones(self) -> MultiTone:
+        return harmonic_stack(self.f0, len(self.amplitudes), self.amplitudes)
+
+    def signal(self) -> Signal:
+        return synthesize(self.tones, self.sample_rate, self.duration)
+
+
 @dataclass
 class LabeledSet:
     """Equal-length signals as the rows of one array, with class labels.

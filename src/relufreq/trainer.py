@@ -98,7 +98,6 @@ def layer_views(arch: Architecture, theta: np.ndarray) -> List[Dict[str, np.ndar
 class Network:
     architecture: Architecture
     theta: np.ndarray
-    seed: int
 
     @property
     def parameters(self) -> List[Mapping[str, np.ndarray]]:
@@ -165,7 +164,6 @@ class ComparisonReport:
     """Per-variant training curves plus every setting the variants ran with."""
 
     n_repetitions: int
-    base_seed: int
     epochs: int
     batch_size: int
     adam_hyper: AdamHyper
@@ -187,9 +185,7 @@ class ZeroTrainReport:
     class_std_dcs: np.ndarray
     class_gains: np.ndarray
     accuracy: float
-    sample_freqs: np.ndarray
     sample_dcs: np.ndarray
-    sample_labels: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +315,7 @@ def init_network(arch: Architecture, seed: int) -> Network:
     for layer in layer_views(arch, theta):
         fan_in = layer["w"].size // layer["b"].size  # taps feeding each output unit
         layer["w"][...] = _uniform(rng, layer["w"].shape, math.sqrt(1.0 / fan_in))
-    return Network(arch, theta, seed)
+    return Network(arch, theta)
 
 
 def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
@@ -594,7 +590,7 @@ def run_comparison(
     }
     architectures = {name: variant[0] for name, variant in variants.items()}
     return ComparisonReport(
-        n_repetitions, base_seed, epochs, batch_size, adam_hyper, spec, levels, architectures, nets
+        n_repetitions, epochs, batch_size, adam_hyper, spec, levels, architectures, nets
     )
 
 
@@ -674,7 +670,5 @@ def zero_train_eval(
         class_std_dcs=std_dcs,
         class_gains=gains,
         accuracy=accuracy,
-        sample_freqs=freqs,
         sample_dcs=dcs,
-        sample_labels=labels,
     )

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from relufreq import cli, trainer
 from relufreq.cli import RunManifest, _curve_table, emit_csv, emit_manifest, run
-from relufreq.multitone import DatasetSpec
+from relufreq.multitone import DatasetSpec, ProbeSpec
+from relufreq.relu_taylor import TaylorConfig
+from relufreq.spectral import spectrum
 from relufreq.trainer import (
     AdamHyper,
     Architecture,
@@ -192,6 +196,8 @@ class TestDispatcher:
             (["zero-train", "--kernel", "1e308,1e308"], "ValueError"),
             (["zero-train", "--kernel", "1e308,-1e308"], "ValueError"),
             (["zero-train", "--kernel", "1.7e308,0.1"], "ValueError"),
+            # too many harmonics for an index: raised before anything is allocated
+            (["approx", "--harmonics", str(10**19)], "OverflowError"),
         ],
     )
     def test_failure_exits_1_with_public_error_name(
@@ -250,28 +256,72 @@ def _fail_on_constant(name):
     raise AssertionError(f"manifest holds {name}")
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 1000), st.integers(1, 6))
-@example(terms=300, harmonics=4)  # finite samples whose squares overflow in a plain norm
-@example(terms=400, harmonics=4)  # the partial sum overflows
-def test_approx_exits_0_with_finite_outputs_or_1_with_no_csv(terms, harmonics):
-    argv = ["approx", "--terms", str(terms), "--harmonics", str(harmonics)]
+def run_checked(argv):
+    """Run argv into a fresh directory and check what any flag values must give.
+
+    run() raises nothing and returns 0, 1 or 2; exit 1 prints one
+    ``error: <Name>: `` line; a failed run writes no CSV, and a successful one
+    only finite CSV cells and a manifest without NaN or Infinity. Returns the
+    exit code and stderr.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run(argv + ["--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
         if code == 1:
-            # the series overflowing is the one failure here; a ValueError would
-            # mean a non-finite result got as far as the manifest's JSON guard
-            assert err.getvalue().startswith("error: DivergenceError: ")
+            assert re.match(r"error: [A-Z]\w*: ", err.getvalue())
+        if code != 0:
             assert not list(Path(tmp).rglob("*.csv"))
-            return
-        assert code == 0
+            return code, err.getvalue()
         json.loads(read(out / "manifest.json"), parse_constant=_fail_on_constant)
         for csv in out.glob("*.csv"):
             lines = read(csv).decode().strip().split("\n")[1:]
             assert all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+        return code, err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 1000), st.integers(1, 6))
+@example(terms=300, harmonics=4)  # finite samples whose squares overflow in a plain norm
+@example(terms=400, harmonics=4)  # the partial sum overflows
+def test_approx_exits_0_with_finite_outputs_or_1_with_no_csv(terms, harmonics):
+    code, err = run_checked(["approx", "--terms", str(terms), "--harmonics", str(harmonics)])
+    # the series overflowing is the one failure here; a ValueError would mean
+    # a non-finite result got as far as the manifest's JSON guard
+    assert code == 0 or err.startswith("error: DivergenceError: ")
+
+
+# Edge floats for the probe flags. Every huge value is at least 1e18, so a
+# sample count from it fails at once instead of allocating.
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0, math.nan, math.inf, -math.inf]
+    + [1e18, 1e19, 1e300, sys.float_info.max, -sys.float_info.max]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["dif", "avg"]),
+    st.integers(0, 16),
+    st.integers(-2, 64),
+    # proto's probe lasts 1 s: at most 1e5 samples, or a count that cannot be allocated
+    st.one_of(EDGE_FLOATS, st.floats(-1e5, 1e5), st.floats(40.0, 4096.0)),
+)
+@example(kind="avg", depth=16, avg_len=64, fs=1e5)
+@example(kind="dif", depth=16, avg_len=-2, fs=41.0)
+def test_proto_flags_exit_0_1_or_2_with_finite_csvs(kind, depth, avg_len, fs):
+    argv = ["proto", f"--kind={kind}", f"--depth={depth}", f"--avg-len={avg_len}"]
+    run_checked(argv + [f"--fs={fs!r}"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(EDGE_FLOATS, st.floats(-100.0, 100.0)))
+@example(hr=1e-300)
+def test_heart_demo_flags_exit_0_1_or_2_with_finite_csvs(hr):
+    run_checked(["heart-demo", f"--hr={hr!r}"])
 
 
 class TestCoeffs:
@@ -309,8 +359,8 @@ class TestApprox:
         assert convergence["valid"] is False
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["command"] == "approx"
-        assert manifest["full_config"]["n_terms"] == 50
-        assert manifest["full_config"]["prescale"] == 1e-4
+        assert manifest["full_config"]["taylor"]["n_terms"] == 50
+        assert manifest["full_config"]["taylor"]["prescale"] == 1e-4
         assert manifest["full_config"]["rrmse_definition"]
         assert manifest["results"]["rrmse"] == float(printed.split()[1])
         time_lines = read(out / "approx_time.csv").decode().strip().split("\n")
@@ -359,7 +409,7 @@ class TestProto:
         out = tmp_path / "avg"
         assert run(["proto", "--kind", "avg", "--depth", "4", "--out", str(out)]) == 0
         manifest = json.loads(read(out / "manifest.json"))
-        assert manifest["full_config"]["kind"] == "moving_average"
+        assert manifest["full_config"]["stack"]["kind"] == "moving_average"
         fractions = manifest["results"]["energy_above_first_null_per_layer"]
         assert fractions[-1] < 0.05
 
@@ -377,7 +427,58 @@ class TestHeartDemo:
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["results"]["layer_sample_rates_hz"] == [64.0, 32.0, 16.0, 8.0]
         # heart tones survive every pooled layer's Nyquist
-        assert manifest["full_config"]["heart_rate_hz"] == 1.2
+        assert manifest["full_config"]["probe"]["f0"] == 1.2
+
+
+def csv_columns(path):
+    """Header name -> float column of a written CSV (17 digits read back exactly)."""
+    header, *rows = read(path).decode().strip().split("\n")
+    cells = np.array([[float(v) for v in row.split(",")] for row in rows])
+    return dict(zip(header.split(","), cells.T))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx"],
+        ["approx", "--harmonics", "1", "--fs", "2048"],
+        ["proto", "--kind", "dif"],
+        ["proto", "--kind", "avg"],
+        ["heart-demo", "--hr", "2.0"],
+    ],
+)
+def test_manifest_probe_and_stack_rebuild_what_ran(argv, tmp_path, monkeypatch, capsys):
+    """ProbeSpec(**probe) gives the written input bit for bit; stack is the stack that ran."""
+    stacks = []
+    run_prototype = cli.run_prototype
+
+    def recording_run_prototype(stack, x):
+        stacks.append(stack)
+        return run_prototype(stack, x)
+
+    monkeypatch.setattr(cli, "run_prototype", recording_run_prototype)
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = json.loads(read(tmp_path / "manifest.json"))["full_config"]
+    x = ProbeSpec(**config["probe"]).signal()
+    if argv[0] == "approx":
+        assert TaylorConfig(**config["taylor"]) == TaylorConfig()
+        written, expected = csv_columns(tmp_path / "approx_time.csv")["x"], x.samples
+    else:
+        (stack,) = stacks
+        assert config["stack"] == {
+            "kind": stack.kind,
+            "depth": stack.depth,
+            "kernel": {"taps": stack.kernel.taps.tolist()},
+            "pool": None if stack.pool is None else list(stack.pool),
+        }
+        expected = spectrum(x).one_sided()[1]
+        if argv[0] == "proto":
+            written = csv_columns(tmp_path / "layer_spectra.csv")["layer_0"]
+        else:
+            table = csv_columns(tmp_path / "heart_spectra.csv")
+            written = table["magnitude"][table["layer"] == 0]
+    assert written.tobytes() == expected.tobytes()
 
 
 class TestTrainCompare:

@@ -11,6 +11,7 @@ from relufreq import (
     DatasetSpec,
     EmptyToneError,
     MultiTone,
+    ProbeSpec,
     Signal,
     harmonic_stack,
     sample_dataset,
@@ -65,6 +66,18 @@ def test_harmonic_stack_degenerate_and_mismatch():
         harmonic_stack(5.0, 2, [1.0])
     with pytest.raises(ValueError):
         harmonic_stack(0.0, 1, [1.0])
+
+
+def test_probe_spec_harmonics_come_from_its_amplitudes():
+    probe = ProbeSpec(1.2, [1, np.float64(0.5)], 64.0, 8.0)
+    assert probe.amplitudes == (1.0, 0.5)
+    assert all(type(a) is float for a in probe.amplitudes)
+    assert probe == ProbeSpec(1.2, (1.0, 0.5), 64.0, 8.0)
+    assert probe.tones == harmonic_stack(1.2, 2, [1.0, 0.5])
+    expected = synthesize(harmonic_stack(1.2, 2, [1.0, 0.5]), 64.0, 8.0).samples
+    assert probe.signal().samples.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="n_harmonics"):
+        ProbeSpec(5.0, (), 1024.0, 1.0).signal()
 
 
 def test_duplicate_frequencies_merge_by_phasor_addition():
