@@ -13,12 +13,10 @@ from .errors import (
     DegenerateInputError,
     DivergenceError,
     EmptyToneError,
-    NonZeroPhaseError,
     ReluFreqError,
     ZeroReferenceError,
 )
 from .multitone import (
-    CosineComponent,
     DatasetSpec,
     LabeledSet,
     MultiTone,

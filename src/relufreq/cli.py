@@ -22,7 +22,7 @@ from .convnets import (
     run_prototype,
 )
 from .errors import ReluFreqError
-from .multitone import DatasetSpec, ProbeSpec, sample_dataset
+from .multitone import DatasetSpec, ProbeSpec, _check_below_nyquist, sample_dataset
 from .relu_taylor import TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
 from .trainer import ComparisonReport, run_comparison, zero_train_eval
@@ -192,6 +192,8 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_approx(args) -> Artifacts:
+    # the top harmonic first, so an aliased count fails before any per-harmonic allocation
+    _check_below_nyquist(np.array([args.f0 * args.harmonics]), args.fs)
     probe = ProbeSpec(args.f0, (1.0,) * args.harmonics, args.fs, args.duration)
     x = probe.signal()
     y_relu = relu(x)

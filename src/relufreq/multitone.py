@@ -17,60 +17,39 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class CosineComponent:
-    """One cosine oscillation: amplitude * cos(2*pi*frequency*t + phase)."""
-
-    amplitude: float
-    frequency: float
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite(amplitude=self.amplitude, frequency=self.frequency, phase=self.phase)
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.frequency < 0:
-            raise ValueError(f"frequency must be >= 0, got {self.frequency}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTone:
-    """Finite sum of cosine components with pairwise distinct frequencies.
+    """Zero-phase multi-tone: the sum of amplitudes[i] * cos(2*pi*frequencies[i]*t).
 
-    Components sharing a frequency are merged at construction by phasor
-    addition, so downstream closed forms can assume distinct frequencies.
+    Two equal-length 1-D read-only float arrays; every value is finite and
+    >= 0, and the frequencies are pairwise distinct, so downstream closed
+    forms can assume distinct tones.
     """
 
-    components: tuple = ()
+    frequencies: np.ndarray
+    amplitudes: np.ndarray
 
-    def __init__(self, components: Sequence[CosineComponent]):
-        merged: dict = {}
-        order: list = []
-        for comp in components:
-            if comp.frequency not in merged:
-                merged[comp.frequency] = complex(0.0)
-                order.append(comp.frequency)
-            merged[comp.frequency] += comp.amplitude * complex(
-                math.cos(comp.phase), math.sin(comp.phase)
-            )
-        out = []
-        for freq in order:
-            phasor = merged[freq]
-            amplitude = abs(phasor)
-            phase = math.atan2(phasor.imag, phasor.real) if amplitude > 0 else 0.0
-            out.append(CosineComponent(amplitude, freq, phase))
-        object.__setattr__(self, "components", tuple(out))
+    def __post_init__(self) -> None:
+        for name in ("frequencies", "amplitudes"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {values.shape}")
+            bad = values[~(np.isfinite(values) & (values >= 0))]
+            if bad.size:
+                raise ValueError(f"{name} must be finite and >= 0, got {bad[0]}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if self.frequencies.shape != self.amplitudes.shape:
+            raise ValueError("frequencies and amplitudes must have equal length")
+        if np.unique(self.frequencies).size != self.frequencies.size:
+            raise ValueError("frequencies must be pairwise distinct")
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([c.amplitude for c in self.components], dtype=float)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([c.frequency for c in self.components], dtype=float)
-
-    def all_zero_phase(self) -> bool:
-        return all(c.phase == 0.0 for c in self.components)
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, MultiTone)
+            and np.array_equal(self.frequencies, other.frequencies)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
 
 
 @dataclass
@@ -153,7 +132,7 @@ class ProbeSpec:
 
     @property
     def tones(self) -> MultiTone:
-        return harmonic_stack(self.f0, len(self.amplitudes), self.amplitudes)
+        return harmonic_stack(self.f0, self.amplitudes)
 
     def signal(self) -> Signal:
         return synthesize(self.tones, self.sample_rate, self.duration)
@@ -194,16 +173,19 @@ class LabeledSet:
 
 def synthesize(tones: MultiTone, sample_rate: float, duration: float) -> Signal:
     """Render a multi-tone on a uniform grid of round(duration*sample_rate) samples."""
-    if not tones.components:
-        raise EmptyToneError("cannot synthesize a multi-tone with no components")
+    if not tones.frequencies.size:
+        raise EmptyToneError("cannot synthesize a multi-tone with no tones")
     _require_finite(sample_rate=sample_rate, duration=duration)
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     _check_below_nyquist(tones.frequencies, sample_rate)
     t = _time_grid(sample_rate, duration)
     out = np.zeros(t.size)
-    for comp in tones.components:
-        out += comp.amplitude * np.cos(2.0 * math.pi * comp.frequency * t + comp.phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for amplitude, frequency in zip(tones.amplitudes.tolist(), tones.frequencies.tolist()):
+            out += amplitude * np.cos(2.0 * math.pi * frequency * t)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("a phase or the sum of the tones leaves the float range")
     return Signal(out, sample_rate)
 
 
@@ -218,20 +200,14 @@ def _time_grid(sample_rate: float, duration: float) -> np.ndarray:
     return np.arange(int(round(duration * sample_rate))) / sample_rate
 
 
-def harmonic_stack(f0: float, n_harmonics: int, amplitudes: Sequence[float]) -> MultiTone:
-    """Zero-phase tones at integer multiples of f0: i*f0 for i = 1..n_harmonics."""
+def harmonic_stack(f0: float, amplitudes: Sequence[float]) -> MultiTone:
+    """Zero-phase tones at integer multiples of f0: i*f0 for i = 1..len(amplitudes)."""
     if f0 <= 0:
         raise ValueError(f"f0 must be > 0, got {f0}")
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    if len(amplitudes) != n_harmonics:
-        raise ValueError(
-            f"expected {n_harmonics} amplitudes, got {len(amplitudes)}"
-        )
-    comps = [
-        CosineComponent(float(a), (i + 1) * f0, 0.0) for i, a in enumerate(amplitudes)
-    ]
-    return MultiTone(comps)
+    if len(amplitudes) < 1:
+        raise ValueError("n_harmonics (the number of amplitudes) must be >= 1, got 0")
+    with np.errstate(over="ignore"):  # an infinite harmonic is rejected by MultiTone
+        return MultiTone(np.arange(1, len(amplitudes) + 1) * f0, amplitudes)
 
 
 def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
@@ -240,7 +216,7 @@ def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     Rows are class-major then sample-major, one normal frequency draw per row
     via Box-Muller over two consecutive uniforms, so the frequencies are a
     fixed function of the PCG64 bit stream. Each row equals
-    ``synthesize(MultiTone([CosineComponent(1.0, f)]), ...)`` plus its class's
+    ``synthesize(MultiTone([f], [1.0]), ...)`` plus its class's
     ``dc_map`` offset, bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -14,8 +14,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DivergenceError, NonZeroPhaseError
-from .multitone import CosineComponent, MultiTone, Signal, synthesize
+from .errors import DegenerateInputError, DivergenceError
+from .multitone import MultiTone, Signal, _time_grid, synthesize
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -53,30 +55,32 @@ def relu(signal: Signal) -> Signal:
 
 
 def mean_power(tones: MultiTone) -> float:
-    """Half the sum of squared component amplitudes (the multi-tone's mean power)."""
+    """Half the sum of squared amplitudes (the multi-tone's mean power); inf if it overflows."""
     amps = tones.amplitudes
-    if amps.size == 0 or not np.any(amps > 0):
+    if not np.any(amps > 0):
         raise DegenerateInputError("mean power requires at least one nonzero amplitude")
-    return float(np.sum(amps**2) / 2.0)
+    with np.errstate(over="ignore"):
+        return float(np.sum(amps**2) / 2.0)
 
 
 def power_fluctuation(tones: MultiTone, sample_rate: float, duration: float) -> Signal:
-    """Closed-form fluctuation u(t) with x^2(t) = A * (1 + u(t)), zero-phase tones only.
+    """Closed-form fluctuation u(t) with x^2(t) = A * (1 + u(t)).
 
-    u carries the doubled frequencies 2*f_i from each squared component plus
-    sum and difference frequencies f_i + f_j, f_i - f_j from each unordered
-    pair of distinct components.
+    u carries the doubled frequencies 2*f_i from each squared tone plus sum
+    and difference frequencies f_i + f_j, f_i - f_j from each unordered pair
+    of tones. It depends only on the amplitude ratios, so where A is not a
+    normal float the amplitudes are first divided by the largest of them.
     """
-    if not tones.all_zero_phase():
-        raise NonZeroPhaseError("closed-form fluctuation is defined for zero-phase tones")
     a = mean_power(tones)  # raises DegenerateInputError when everything is 0
     amps = tones.amplitudes
+    if not _TINY <= a < math.inf:
+        amps = amps / amps.max()
+        a = mean_power(MultiTone(tones.frequencies, amps))
     freqs = tones.frequencies
-    n = int(round(duration * sample_rate))
-    if n <= 0:
+    t = _time_grid(sample_rate, duration)
+    if t.size == 0:
         raise ValueError("duration too short for the given sample rate")
-    t = np.arange(n) / sample_rate
-    out = np.zeros(n)
+    out = np.zeros(t.size)
     for ai, fi in zip(amps, freqs):
         out += (ai**2 / (2.0 * a)) * np.cos(2.0 * math.pi * (2.0 * fi) * t)
     for i in range(len(amps)):
@@ -156,19 +160,16 @@ def approximate_relu(
     clamping is applied there. Where the series' terms grow past the float
     range the partial sum is no longer finite, and DivergenceError is raised.
     """
-    if not tones.all_zero_phase():
-        raise NonZeroPhaseError("approximation is defined for zero-phase tones")
     mean_power(tones)  # raise DegenerateInputError before any work
-    scaled = MultiTone(
-        [
-            CosineComponent(c.amplitude * cfg.prescale, c.frequency, 0.0)
-            for c in tones.components
-        ]
-    )
+    scaled = MultiTone(tones.frequencies, tones.amplitudes * cfg.prescale)
     x = synthesize(scaled, sample_rate, duration)
-    fluct = power_fluctuation(scaled, sample_rate, duration)
-    dc_amp = (math.sqrt(2.0) / 4.0) * math.sqrt(float(np.sum(scaled.amplitudes**2)))
+    power = 2.0 * mean_power(scaled)
+    if _TINY <= power < math.inf:
+        dc_amp = (math.sqrt(2.0) / 4.0) * math.sqrt(power)
+    else:  # the squares left the float range
+        dc_amp = dc_model(scaled.amplitudes, np.ones_like(scaled.amplitudes))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as DivergenceError
+        fluct = power_fluctuation(scaled, sample_rate, duration)
         series = sqrt1p_series(fluct.samples, cfg.n_terms)
         approx = (x.samples / 2.0 + dc_amp * series) / cfg.prescale
     if not np.all(np.isfinite(approx)):

@@ -6,11 +6,12 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relufreq import cli, trainer
@@ -196,8 +197,10 @@ class TestDispatcher:
             (["zero-train", "--kernel", "1e308,1e308"], "ValueError"),
             (["zero-train", "--kernel", "1e308,-1e308"], "ValueError"),
             (["zero-train", "--kernel", "1.7e308,0.1"], "ValueError"),
-            # too many harmonics for an index: raised before anything is allocated
-            (["approx", "--harmonics", str(10**19)], "OverflowError"),
+            # too many harmonics for a float: raised before anything is allocated
+            (["approx", "--harmonics", str(10**309)], "OverflowError"),
+            # the top harmonic is checked before one value per harmonic is built
+            (["approx", "--harmonics", str(10**17)], "AliasingError"),
         ],
     )
     def test_failure_exits_1_with_public_error_name(
@@ -302,6 +305,25 @@ EDGE_FLOATS = st.sampled_from(
 )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(EDGE_FLOATS, st.floats(-1.0, 50.0)),
+    st.one_of(EDGE_FLOATS, st.floats(-1e5, 1e5), st.floats(40.0, 4096.0)),
+    st.one_of(EDGE_FLOATS, st.floats(-0.5, 4.0)),
+    st.one_of(EDGE_FLOATS, st.floats(1e-300, 1e300)),
+    st.integers(1, 50),
+)
+@example(f0=5.0, fs=1024.0, duration=1.0, prescale=1e-300, terms=5)
+@example(f0=5.0, fs=1024.0, duration=1.0, prescale=1e300, terms=5)
+def test_approx_float_flags_exit_0_1_or_2_with_finite_csvs(f0, fs, duration, prescale, terms):
+    # a sample count in [1e5, 1e18] could really be allocated; smaller ones
+    # are cheap and larger ones fail at once
+    count = fs * duration
+    assume(not (math.isfinite(count) and 1e5 <= round(count) <= 1e18))
+    argv = ["approx", f"--f0={f0!r}", f"--fs={fs!r}", f"--duration={duration!r}"]
+    run_checked(argv + [f"--prescale={prescale!r}", f"--terms={terms}"])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["dif", "avg"]),
@@ -390,6 +412,28 @@ class TestApprox:
         lines = read(out / "approx_spectrum.csv").decode().strip().split("\n")
         assert lines[0] == "f,x_mag,relu_mag,approx_mag"
         assert len(lines) == 1 + 33  # bins 0..N/2 for N=64
+
+    def test_aliased_harmonic_count_allocates_nothing_per_harmonic(self, tmp_path, capsys):
+        cli._build_parser()  # built once per process; not part of the invocation
+        tracemalloc.start()
+        try:
+            code = run(["approx", "--harmonics", "100000", "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: AliasingError: ")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("prescale", ["1e-300", "1e300"])
+    def test_rrmse_does_not_depend_on_the_prescale(self, prescale, tmp_path, capsys):
+        def rrmse_at(value):
+            out = tmp_path / value
+            assert run(["approx", "--terms", "5", f"--prescale={value}", "--out", str(out)]) == 0
+            return json.loads(read(out / "manifest.json"))["results"]["rrmse"]
+
+        assert rrmse_at(prescale) == pytest.approx(rrmse_at("1"), rel=1e-12)
+        assert capsys.readouterr().err == ""
 
 
 class TestProto:

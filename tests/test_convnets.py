@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from relufreq import (
-    CosineComponent,
     Kernel,
     MultiTone,
     Signal,
@@ -18,7 +17,7 @@ from relufreq import (
     synthesize,
 )
 
-PROBE_INPUT = synthesize(harmonic_stack(5.0, 4, [1.0] * 4), 1024.0, 1.0)
+PROBE_INPUT = synthesize(harmonic_stack(5.0, [1.0] * 4), 1024.0, 1.0)
 
 
 class TestConv1d:
@@ -112,7 +111,7 @@ class TestAvgPool:
 
     def test_tone_below_new_nyquist_survives_with_window_attenuation(self):
         # width-2 window gain at f is |cos(pi f / fs)|
-        sig = synthesize(MultiTone([CosineComponent(1.0, 5.0)]), 64.0, 1.0)
+        sig = synthesize(MultiTone([5.0], [1.0]), 64.0, 1.0)
         pooled = avg_pool(sig, 2, 2)
         assert pooled.sample_rate == 32.0
         mags = np.abs(spectrum(pooled).bins)
