@@ -48,7 +48,6 @@ from .relu_taylor import (
     sqrt_taylor_coefficients,
 )
 from .convnets import (
-    FilterResponse,
     Kernel,
     PrototypeStack,
     avg_pool,

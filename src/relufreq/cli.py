@@ -25,7 +25,7 @@ from .errors import ReluFreqError
 from .multitone import DatasetSpec, ProbeSpec, _check_below_nyquist, sample_dataset
 from .relu_taylor import TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
-from .trainer import ComparisonReport, run_comparison, zero_train_eval
+from .trainer import SEED_DERIVATION, ComparisonReport, run_comparison, zero_train_eval
 
 PRNG_ID = "numpy PCG64; normals via Box-Muller over two uniform draws"
 RRMSE_DEFINITION = "l2_norm(estimate - reference) / l2_norm(reference)"
@@ -76,20 +76,6 @@ class Artifacts:
     summary: Optional[str] = None
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -127,9 +113,15 @@ def emit_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> N
         fh.writelines(line % row for row in zip(*cells))
 
 
+def _json_default(value):
+    """numpy arrays and scalars as lists and numbers, dataclasses field by field."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else asdict(value)
+
+
 def _render_json(payload) -> str:
     """Sorted-key JSON text; a non-finite number raises ValueError instead of writing NaN."""
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(payload, default=_json_default, indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -139,7 +131,7 @@ def _write_text(path: str, text: str) -> None:
 
 def emit_manifest(path: str, manifest: RunManifest) -> None:
     """Sorted-key JSON of the manifest; dataclasses in it are written field by field."""
-    _write_text(path, _render_json(asdict(manifest)))
+    _write_text(path, _render_json(manifest))
 
 
 def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
@@ -159,7 +151,7 @@ def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
     manifest = RunManifest(
         command, artifacts.config, artifacts.seed, __version__, written, artifacts.results
     )
-    _render_json(asdict(manifest))
+    _render_json(manifest)
     os.makedirs(out_dir, exist_ok=True)
     for name, (header, columns) in artifacts.tables.items():
         emit_csv(os.path.join(out_dir, name), header, columns)
@@ -313,6 +305,8 @@ def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[
 
 
 def _cmd_train_compare(args) -> Artifacts:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     report = run_comparison(args.reps, args.seed, epochs=args.epochs)
     results: Dict[str, object] = {}
     for name, net in report.nets.items():
@@ -332,7 +326,7 @@ def _cmd_train_compare(args) -> Artifacts:
             "dataset": report.dataset_spec,
             "dc_levels": report.dc_levels,
             "networks": list(report.nets),
-            "seed_derivation": "PCG64(seed) integer matrix (reps, 7): data, init x3, shuffle x3",
+            "seed_derivation": SEED_DERIVATION,
             "prng": PRNG_ID,
         },
         results=results,
@@ -346,6 +340,8 @@ def _cmd_train_compare(args) -> Artifacts:
 
 def _cmd_zero_train(args) -> Artifacts:
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     dataset_seed = seed + 1
     dataset = sample_dataset(ZERO_TRAIN_SPEC, dataset_seed)
     if args.seed is not None:
@@ -358,7 +354,7 @@ def _cmd_zero_train(args) -> Artifacts:
 
     fs = ZERO_TRAIN_SPEC.sample_rate
     grid = np.linspace(0.0, fs / 2.0, RESPONSE_POINTS)
-    response = fir_response(Kernel(report.taps), grid, fs)
+    gains = fir_response(Kernel(report.taps), grid, fs)
     return Artifacts(
         config={
             "kernel_taps": report.taps,
@@ -379,7 +375,7 @@ def _cmd_zero_train(args) -> Artifacts:
             "class_gains": report.class_gains,
         },
         tables={
-            "response.csv": (["f", "b"], [response.frequencies, response.gains]),
+            "response.csv": (["f", "b"], [grid, gains]),
             "dc_by_class.csv": (
                 ["f_i", "dc", "class"],
                 [dataset.frequencies, report.sample_dcs, dataset.labels],

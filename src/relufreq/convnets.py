@@ -30,12 +30,6 @@ class Kernel:
 
 
 @dataclass
-class FilterResponse:
-    frequencies: np.ndarray
-    gains: np.ndarray
-
-
-@dataclass
 class PrototypeStack:
     """Repeated conv + ReLU layers sharing one kernel, with optional pooling."""
 
@@ -78,9 +72,7 @@ def conv1d(signal: Signal, kernel: Kernel) -> Signal:
     return Signal(out, signal.sample_rate)
 
 
-def fir_response(
-    kernel: Kernel, frequencies: Sequence[float], sample_rate: float
-) -> FilterResponse:
+def fir_response(kernel: Kernel, frequencies: Sequence[float], sample_rate: float) -> np.ndarray:
     """Gain of the kernel's frequency response at each frequency."""
     freqs = np.asarray(frequencies, dtype=float)
     if np.any(freqs < 0) or np.any(freqs > sample_rate / 2.0):
@@ -88,8 +80,7 @@ def fir_response(
     n = np.arange(kernel.taps.size)
     # response at normalized frequency f/fs: sum_n w_n exp(-i 2 pi (f/fs) n)
     z = np.exp(-2j * math.pi * np.outer(freqs / sample_rate, n))
-    h = z @ kernel.taps
-    return FilterResponse(freqs, np.abs(h))
+    return np.abs(z @ kernel.taps)
 
 
 def avg_pool(signal: Signal, width: int, stride: int) -> Signal:

@@ -190,6 +190,8 @@ def synthesize(tones: MultiTone, sample_rate: float, duration: float) -> Signal:
 
 
 def _check_below_nyquist(frequencies: np.ndarray, sample_rate: float) -> None:
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
     nyquist = sample_rate / 2.0
     above = frequencies[frequencies >= nyquist]
     if above.size:

@@ -70,6 +70,7 @@ def power_fluctuation(tones: MultiTone, sample_rate: float, duration: float) -> 
     and difference frequencies f_i + f_j, f_i - f_j from each unordered pair
     of tones. It depends only on the amplitude ratios, so where A is not a
     normal float the amplitudes are first divided by the largest of them.
+    A phase 2*pi*f*t that leaves the float range raises ValueError.
     """
     a = mean_power(tones)  # raises DegenerateInputError when everything is 0
     amps = tones.amplitudes
@@ -81,13 +82,16 @@ def power_fluctuation(tones: MultiTone, sample_rate: float, duration: float) -> 
     if t.size == 0:
         raise ValueError("duration too short for the given sample rate")
     out = np.zeros(t.size)
-    for ai, fi in zip(amps, freqs):
-        out += (ai**2 / (2.0 * a)) * np.cos(2.0 * math.pi * (2.0 * fi) * t)
-    for i in range(len(amps)):
-        for j in range(i + 1, len(amps)):
-            scale = amps[i] * amps[j] / a
-            out += scale * np.cos(2.0 * math.pi * (freqs[i] + freqs[j]) * t)
-            out += scale * np.cos(2.0 * math.pi * (freqs[i] - freqs[j]) * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for ai, fi in zip(amps, freqs):
+            out += (ai**2 / (2.0 * a)) * np.cos(2.0 * math.pi * (2.0 * fi) * t)
+        for i in range(len(amps)):
+            for j in range(i + 1, len(amps)):
+                scale = amps[i] * amps[j] / a
+                out += scale * np.cos(2.0 * math.pi * (freqs[i] + freqs[j]) * t)
+                out += scale * np.cos(2.0 * math.pi * (freqs[i] - freqs[j]) * t)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("a phase of the fluctuation leaves the float range")
     return Signal(out, sample_rate)
 
 
@@ -171,7 +175,11 @@ def approximate_relu(
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as DivergenceError
         fluct = power_fluctuation(scaled, sample_rate, duration)
         series = sqrt1p_series(fluct.samples, cfg.n_terms)
-        approx = (x.samples / 2.0 + dc_amp * series) / cfg.prescale
+        dc_part = dc_amp * series
+        if np.all(np.isfinite(dc_part)):
+            approx = (x.samples / 2.0 + dc_part) / cfg.prescale
+        else:  # the product left the float range before the division by the prescale
+            approx = x.samples / (2.0 * cfg.prescale) + (dc_amp / cfg.prescale) * series
     if not np.all(np.isfinite(approx)):
         peak = float(np.max(np.abs(fluct.samples)))
         raise DivergenceError(

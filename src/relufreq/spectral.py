@@ -23,7 +23,6 @@ class Spectrum:
 
     bins: np.ndarray
     bin_resolution: float
-    sample_rate: float
 
     def __len__(self) -> int:
         return int(self.bins.size)
@@ -38,7 +37,7 @@ class Spectrum:
 def spectrum(signal: Signal) -> Spectrum:
     n = len(signal)
     bins = np.fft.fft(signal.samples) / n
-    return Spectrum(bins, signal.sample_rate / n, signal.sample_rate)
+    return Spectrum(bins, signal.sample_rate / n)
 
 
 def dc_of(signal: Signal) -> float:

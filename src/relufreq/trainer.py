@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,11 +97,6 @@ def layer_views(arch: Architecture, theta: np.ndarray) -> List[Dict[str, np.ndar
 class Network:
     architecture: Architecture
     theta: np.ndarray
-
-    @property
-    def parameters(self) -> List[Mapping[str, np.ndarray]]:
-        """Read-only per-layer mappings of views into theta."""
-        return [MappingProxyType(layer) for layer in layer_views(self.architecture, self.theta)]
 
 
 @dataclass(frozen=True)
@@ -533,64 +527,67 @@ def _comparison_architecture(activation: str, spec: DatasetSpec) -> Architecture
     )
 
 
+# Variant name -> (conv activation, trains on the DC-augmented set). Row r of
+# the (reps, 1 + 2 * len(VARIANTS)) seed matrix seeds repetition r: column 0
+# its datasets, column 1 + i variant i's init, column 1 + len(VARIANTS) + i
+# variant i's shuffles.
+VARIANTS = {"relu": (RELU, False), "linear": (LINEAR, False), "linear_dc": (LINEAR, True)}
+SEED_DERIVATION = "PCG64(seed) integer matrix (reps, 7): data, init x3, shuffle x3"
+
+
+def _run_repetition(
+    seed_row: np.ndarray, spec: DatasetSpec, spec_dc: DatasetSpec, epochs: int, batch_size: int
+) -> Dict[str, TrainingRecord]:
+    """Train every variant of one repetition from its row of the seed matrix.
+
+    The plain dataset is shared by the variants without DC; the DC-augmented
+    one reuses the same frequency draws with the per-class offsets added.
+    """
+    data_seed = int(seed_row[0])
+    datasets = {False: sample_dataset(spec, data_seed), True: sample_dataset(spec_dc, data_seed)}
+    records = {}
+    for i, (name, (activation, use_dc)) in enumerate(VARIANTS.items()):
+        net = init_network(_comparison_architecture(activation, spec), int(seed_row[1 + i]))
+        shuffle_seed = int(seed_row[1 + len(VARIANTS) + i])
+        records[name] = train(net, datasets[use_dc], epochs, batch_size, AdamHyper(), shuffle_seed)
+    return records
+
+
 def run_comparison(
     n_repetitions: int,
     base_seed: int,
     epochs: int = 50,
     batch_size: int = 32,
-    adam_hyper: AdamHyper = AdamHyper(),
     dataset_spec: Optional[DatasetSpec] = None,
-    dc_levels: Optional[Dict[int, float]] = None,
 ) -> ComparisonReport:
-    """Train the relu / linear / linear+DC variants over repeated seeded runs.
+    """Train the VARIANTS over repeated seeded runs, one _run_repetition per row of seeds.
 
-    Per repetition, the plain dataset is shared by the relu and linear
-    networks and the DC-augmented dataset reuses the same frequency draws
-    with the per-class offsets added. Seeds for data, inits, and shuffles
-    derive from one PCG64 stream over base_seed, so repetitions are
-    independent and the whole report is reproducible.
+    Seeds for data, inits, and shuffles derive from one PCG64 stream over
+    base_seed (see SEED_DERIVATION), so repetitions are independent and the
+    whole report is reproducible. Every variant trains with AdamHyper() and
+    the DC variant's offsets are DEFAULT_DC_LEVELS.
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
-    levels = dict(DEFAULT_DC_LEVELS if dc_levels is None else dc_levels)
+    levels = dict(DEFAULT_DC_LEVELS)
     spec_dc = replace(spec, dc_map=levels)
     master = np.random.Generator(np.random.PCG64(base_seed))
-    seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 7))
-    variants = {
-        "relu": (_comparison_architecture(RELU, spec), 1, 4, False),
-        "linear": (_comparison_architecture(LINEAR, spec), 2, 5, False),
-        "linear_dc": (_comparison_architecture(LINEAR, spec), 3, 6, True),
+    seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
+    reps = [_run_repetition(row, spec, spec_dc, epochs, batch_size) for row in seeds]
+    nets = {}
+    for name in VARIANTS:
+        records = [rep[name] for rep in reps]
+        curves = {c: np.stack([r.curves[c] for r in records]) for c in records[0].curves}
+        nets[name] = NetComparison(curves, np.array([r.final_accuracy for r in records]))
+    architectures = {
+        name: _comparison_architecture(activation, spec)
+        for name, (activation, _) in VARIANTS.items()
     }
-    records: Dict[str, List[TrainingRecord]] = {name: [] for name in variants}
-    for rep in range(n_repetitions):
-        data_seed = int(seeds[rep, 0])
-        plain = sample_dataset(spec, data_seed)
-        augmented = sample_dataset(spec_dc, data_seed)
-        for name, (arch, init_col, shuffle_col, use_dc) in variants.items():
-            net = init_network(arch, int(seeds[rep, init_col]))
-            record = train(
-                net,
-                augmented if use_dc else plain,
-                epochs,
-                batch_size,
-                adam_hyper,
-                int(seeds[rep, shuffle_col]),
-            )
-            records[name].append(record)
-
-    nets = {
-        name: NetComparison(
-            {curve: np.stack([r.curves[curve] for r in recs]) for curve in recs[0].curves},
-            np.array([r.final_accuracy for r in recs]),
-        )
-        for name, recs in records.items()
-    }
-    architectures = {name: variant[0] for name, variant in variants.items()}
     return ComparisonReport(
-        n_repetitions, epochs, batch_size, adam_hyper, spec, levels, architectures, nets
+        n_repetitions, epochs, batch_size, AdamHyper(), spec, levels, architectures, nets
     )
 
 
@@ -649,16 +646,19 @@ def zero_train_eval(
     classes = np.unique(labels)
     counts = np.array([int(np.sum(labels == c)) for c in classes])
     mean_freqs = np.array([freqs[labels == c].mean() for c in classes])
-    mean_dcs = np.array([dcs[labels == c].mean() for c in classes])
-    std_dcs = np.array(
-        [dcs[labels == c].std(ddof=1) if n > 1 else 0.0 for c, n in zip(classes, counts)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        mean_dcs = np.array([dcs[labels == c].mean() for c in classes])
+        std_dcs = np.array(
+            [dcs[labels == c].std(ddof=1) if n > 1 else 0.0 for c, n in zip(classes, counts)]
+        )
+    if not (np.isfinite(mean_dcs).all() and np.isfinite(std_dcs).all()):
+        raise ValueError(f"kernel {taps.tolist()} overflows the per-class DC mean or spread")
     if np.unique(mean_dcs).size < mean_dcs.size:
         raise DegenerateInputError(
             f"classes share a mean DC ({mean_dcs.tolist()}), so nearest-prototype "
             "accuracy would only measure the tie-break"
         )
-    gains = fir_response(Kernel(taps), mean_freqs, dataset.sample_rate).gains
+    gains = fir_response(Kernel(taps), mean_freqs, dataset.sample_rate)
     predicted = classes[np.argmin(np.abs(dcs[:, None] - mean_dcs[None, :]), axis=1)]
     accuracy = float(np.mean(predicted == labels))
     return ZeroTrainReport(

@@ -198,14 +198,14 @@ def test_c07_gradient_correctness():
             net = init_network(arch, seed)
             # evaluate at a generic point: biases off zero so no
             # pre-activation sits exactly on the relu kink
-            for layer in net.parameters:
+            for layer in layer_views(arch, net.theta):
                 layer["b"][...] += rng.random(layer["b"].shape) * 0.2 - 0.1
             x = rng.random((6, 16)) * 2.0 - 1.0
             labels = rng.integers(0, 3, 6)
             _, cache = forward(net, x)
             grads = layer_views(arch, backward(net, cache, labels))
             step = 1e-5
-            for li, layer in enumerate(net.parameters):
+            for li, layer in enumerate(layer_views(arch, net.theta)):
                 for key, arr in layer.items():
                     it = np.nditer(arr, flags=["multi_index"])
                     for _ in it:

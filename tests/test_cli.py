@@ -7,6 +7,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,11 @@ class TestDispatcher:
             ["approx", "--fs", "inf"],
             ["zero-train", "--kernel", "nan,1"],
             ["train-compare", "--reps", "1", "--epochs", "-1"],
+            # a rate that is not > 0 is invalid, not an aliasing tone
+            ["approx", "--fs=-1"],
+            ["approx", "--fs=0"],
+            ["proto", "--kind", "avg", "--fs=-1"],
+            ["proto", "--kind", "dif", "--fs=0"],
         ],
     )
     def test_invalid_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
@@ -178,6 +184,8 @@ class TestDispatcher:
         assert run(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "error: ValueError" in captured.err
+        if any(arg.startswith("--fs") for arg in argv):
+            assert "sample_rate" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*.csv"))
 
@@ -201,6 +209,10 @@ class TestDispatcher:
             (["approx", "--harmonics", str(10**309)], "OverflowError"),
             # the top harmonic is checked before one value per harmonic is built
             (["approx", "--harmonics", str(10**17)], "AliasingError"),
+            # a fluctuation phase 2*pi*(f_i + f_j)*t overflows; the series did not diverge
+            (["approx", "--f0=5e306", "--fs=1.7e308", "--duration=1e-307"], "ValueError"),
+            # finite per-sample DCs whose per-class spread overflows
+            (["zero-train", "--kernel=0,1e300"], "ValueError"),
         ],
     )
     def test_failure_exits_1_with_public_error_name(
@@ -281,8 +293,10 @@ def run_checked(argv):
             return code, err.getvalue()
         json.loads(read(out / "manifest.json"), parse_constant=_fail_on_constant)
         for csv in out.glob("*.csv"):
-            lines = read(csv).decode().strip().split("\n")[1:]
-            assert all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+            header, *rows = read(csv).decode().strip().split("\n")
+            # every column but train-compare's network names holds numbers
+            numeric = [i for i, name in enumerate(header.split(",")) if name != "net"]
+            assert all(math.isfinite(float(row.split(",")[i])) for row in rows for i in numeric)
         return code, err.getvalue()
 
 
@@ -344,6 +358,39 @@ def test_proto_flags_exit_0_1_or_2_with_finite_csvs(kind, depth, avg_len, fs):
 @example(hr=1e-300)
 def test_heart_demo_flags_exit_0_1_or_2_with_finite_csvs(hr):
     run_checked(["heart-demo", f"--hr={hr!r}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[st.one_of(EDGE_FLOATS, st.floats(-10.0, 10.0))] * 2)
+@example(w0=0.0, w1=1e300)  # finite per-sample DCs whose per-class spread overflows
+def test_zero_train_kernel_exits_0_1_or_2_with_finite_csvs(w0, w1):
+    run_checked(["zero-train", f"--kernel={w0!r},{w1!r}"])
+
+
+SEEDS = st.one_of(st.integers(-(2**63), 2**64), st.sampled_from([-1, 0, 2**31 - 1, 2**63]))
+
+
+def assert_seed_outcome(seed, code, err):
+    """A seed >= 0 runs; a negative one exits 1 with a message that names the flag."""
+    if seed < 0:
+        assert code == 1 and err.startswith("error: ValueError: --seed ")
+    else:
+        assert code == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS)
+@example(seed=-1)
+def test_zero_train_seed_exits_0_or_names_the_flag(seed):
+    assert_seed_outcome(seed, *run_checked(["zero-train", f"--seed={seed}"]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS, st.integers(1, 2), st.integers(0, 2))
+@example(seed=-1, reps=1, epochs=0)
+def test_train_compare_seed_exits_0_or_names_the_flag(seed, reps, epochs):
+    argv = ["train-compare", f"--seed={seed}", f"--reps={reps}", f"--epochs={epochs}"]
+    assert_seed_outcome(seed, *run_checked(argv))
 
 
 class TestCoeffs:
@@ -425,11 +472,21 @@ class TestApprox:
         assert capsys.readouterr().err.startswith("error: AliasingError: ")
         assert peak < 2**20
 
-    @pytest.mark.parametrize("prescale", ["1e-300", "1e300"])
-    def test_rrmse_does_not_depend_on_the_prescale(self, prescale, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "prescale, terms",
+        [
+            pytest.param("1e-300", "5", id="1e-300"),
+            pytest.param("1e300", "5", id="1e300"),
+            # at the default 50 terms dc_amp * series itself leaves the float range
+            pytest.param("1e300", "50", id="1e300-50-terms"),
+            pytest.param("1e305", "50", id="1e305-50-terms"),
+        ],
+    )
+    def test_rrmse_does_not_depend_on_the_prescale(self, prescale, terms, tmp_path, capsys):
         def rrmse_at(value):
             out = tmp_path / value
-            assert run(["approx", "--terms", "5", f"--prescale={value}", "--out", str(out)]) == 0
+            argv = ["approx", f"--terms={terms}", f"--prescale={value}", "--out", str(out)]
+            assert run(argv) == 0
             return json.loads(read(out / "manifest.json"))["results"]["rrmse"]
 
         assert rrmse_at(prescale) == pytest.approx(rrmse_at("1"), rel=1e-12)
@@ -701,27 +758,18 @@ def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, monkeypatch):
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "0"],
-        ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "1"],
-        ["zero-train", "--seed", "0"],
-        ["approx"],
-        ["proto", "--kind", "dif"],
-        ["proto", "--kind", "avg"],
-        ["heart-demo"],
-    ],
-    ids=[
-        "train-compare-seed0",
-        "train-compare-seed1",
-        "zero-train-seed0",
-        "approx",
-        "proto-dif",
-        "proto-avg",
-        "heart-demo",
-    ],
-)
+DIGEST_INVOCATIONS = {
+    "train-compare-seed0": ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "0"],
+    "train-compare-seed1": ["train-compare", "--reps", "2", "--epochs", "2", "--seed", "1"],
+    "zero-train-seed0": ["zero-train", "--seed", "0"],
+    "approx": ["approx"],
+    "proto-dif": ["proto", "--kind", "dif"],
+    "proto-avg": ["proto", "--kind", "avg"],
+    "heart-demo": ["heart-demo"],
+}
+
+
+@pytest.mark.parametrize("argv", DIGEST_INVOCATIONS.values(), ids=list(DIGEST_INVOCATIONS))
 def test_artifacts_match_recorded_digests(argv, tmp_path, capsys):
     """Every CSV, and the manifest results, hash to the digests recorded from the seed sources."""
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[" ".join(argv)]
@@ -733,3 +781,39 @@ def test_artifacts_match_recorded_digests(argv, tmp_path, capsys):
         if name.endswith(".csv"):
             digests[name] = hashlib.sha256(read(tmp_path / name)).hexdigest()
     assert digests == recorded
+
+
+def reference_jsonable(value):
+    """The manifest serializer's former explicit type dispatch: the reference for _render_json."""
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *DIGEST_INVOCATIONS.values(),
+        ["zero-train", "--kernel", "1,-1"],
+        ["train-compare", "--reps", "2", "--epochs", "0"],
+    ],
+    ids=[*DIGEST_INVOCATIONS, "zero-train-kernel", "train-compare-epochs0"],
+)
+def test_manifest_json_equals_the_reference_serializer(argv, tmp_path, monkeypatch, capsys):
+    """The full manifest text, full_config included, as the explicit dispatch renders it."""
+    manifests = []
+    monkeypatch.setattr(cli, "emit_manifest", lambda path, manifest: manifests.append(manifest))
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (manifest,) = manifests
+    reference = reference_jsonable(asdict(manifest))
+    text = json.dumps(reference, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._render_json(manifest) == text

@@ -53,16 +53,16 @@ class TestConv1d:
 class TestFirResponse:
     def test_differentiator_endpoints(self):
         kern = Kernel(np.array([1.0, -1.0]))
-        resp = fir_response(kern, [0.0, 32.0], 64.0)
-        assert resp.gains[0] == pytest.approx(0.0, abs=1e-12)
-        assert resp.gains[1] == pytest.approx(2.0, abs=1e-12)
+        gains = fir_response(kern, [0.0, 32.0], 64.0)
+        assert gains[0] == pytest.approx(0.0, abs=1e-12)
+        assert gains[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_gain_at_zero_is_tap_sum(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             taps = rng.standard_normal(rng.integers(1, 9))
-            resp = fir_response(Kernel(taps), [0.0], 64.0)
-            assert resp.gains[0] == pytest.approx(abs(taps.sum()), abs=1e-12)
+            gains = fir_response(Kernel(taps), [0.0], 64.0)
+            assert gains[0] == pytest.approx(abs(taps.sum()), abs=1e-12)
 
     def test_matches_zero_padded_dft_oracle(self):
         rng = np.random.default_rng(2)
@@ -73,8 +73,8 @@ class TestFirResponse:
         padded[:6] = taps
         oracle = np.abs(np.fft.fft(padded))
         ks = np.arange(0, n // 2 + 1, 8)
-        resp = fir_response(Kernel(taps), ks * fs / n, fs)
-        assert np.allclose(resp.gains, oracle[ks], atol=1e-9)
+        gains = fir_response(Kernel(taps), ks * fs / n, fs)
+        assert np.allclose(gains, oracle[ks], atol=1e-9)
 
     def test_rejects_frequencies_beyond_nyquist(self):
         with pytest.raises(ValueError):

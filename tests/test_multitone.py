@@ -39,6 +39,10 @@ def test_synthesize_harmonic_probe_value_at_zero():
 def test_synthesize_rejects_aliasing_and_empty():
     with pytest.raises(AliasingError):
         synthesize(MultiTone([4.0], [1.0]), 8.0, 1.0)
+    # a rate that is not > 0 is invalid before any tone is compared with its Nyquist
+    for rate in (-8.0, 0.0):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            synthesize(MultiTone([4.0], [1.0]), rate, 1.0)
     with pytest.raises(EmptyToneError):
         synthesize(MultiTone([], []), 8.0, 1.0)
     with pytest.raises(ValueError):

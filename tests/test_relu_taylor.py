@@ -116,6 +116,12 @@ class TestPowerFluctuation:
         plain = power_fluctuation(MultiTone(freqs, amps), 64.0, 1.0)
         assert np.max(np.abs(scaled.samples - plain.samples)) <= 1e-12
 
+    def test_overflowing_phase_raises_without_warnings(self):
+        """2*pi*(2*f) leaves the float range for f = 2e307; a leaked warning fails the test."""
+        tones = harmonic_stack(5e306, [1.0] * 4)
+        with pytest.raises(ValueError, match="phase"):
+            power_fluctuation(tones, 1.7e308, 1e-307)
+
 
 class TestFluctuationFromSamples:
     def test_constant_sqrt_mean_power(self):

@@ -78,7 +78,7 @@ class TestInitNetwork:
     def test_deterministic_per_seed(self):
         a = init_network(SMALL_ARCH, 4)
         b = init_network(SMALL_ARCH, 4)
-        for la, lb in zip(a.parameters, b.parameters):
+        for la, lb in zip(layer_views(SMALL_ARCH, a.theta), layer_views(SMALL_ARCH, b.theta)):
             assert np.array_equal(la["w"], lb["w"])
             assert np.array_equal(la["b"], lb["b"])
 
@@ -87,24 +87,22 @@ class TestInitNetwork:
         b = init_network(SMALL_ARCH, 2)
         assert any(
             not np.array_equal(la["w"], lb["w"])
-            for la, lb in zip(a.parameters, b.parameters)
+            for la, lb in zip(layer_views(SMALL_ARCH, a.theta), layer_views(SMALL_ARCH, b.theta))
         )
 
     def test_fan_in_bound_and_zero_biases(self):
         net = init_network(SMALL_ARCH, 9)
         fan_ins = [1 * 3, 3 * 3, 2 * 16, 5]
-        for layer, fan_in in zip(net.parameters, fan_ins):
+        for layer, fan_in in zip(layer_views(net.architecture, net.theta), fan_ins):
             assert np.all(np.abs(layer["w"]) <= math.sqrt(1.0 / fan_in))
             assert np.all(layer["b"] == 0.0)
 
 
 class TestLayout:
-    def test_parameters_are_read_only_views_of_theta(self):
+    def test_layer_views_write_through_to_theta(self):
         net = init_network(SMALL_ARCH, 2)
         assert net.theta.dtype == np.float64 and net.theta.ndim == 1
-        layer = net.parameters[0]
-        with pytest.raises(TypeError):
-            layer["b"] = np.ones(3)
+        layer = layer_views(net.architecture, net.theta)[0]
         layer["b"][...] = 7.0
         assert np.count_nonzero(net.theta == 7.0) == 3
 
@@ -341,7 +339,7 @@ def finite_difference_max_relative_error(net, x, labels, step=1e-5):
     logits, cache = forward(net, x)
     grads = layer_views(net.architecture, backward(net, cache, labels))
     worst = 0.0
-    for li, layer in enumerate(net.parameters):
+    for li, layer in enumerate(layer_views(net.architecture, net.theta)):
         for key, arr in layer.items():
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -375,7 +373,7 @@ def generic_point(net, rng, n, length):
     theta0 = net.theta.copy()
     for _ in range(100):
         net.theta[...] = theta0
-        for layer in net.parameters:
+        for layer in layer_views(net.architecture, net.theta):
             layer["b"][...] += rng.random(layer["b"].shape) * 0.2 - 0.1
         x = random_batch(rng, n, length)
         if min(np.abs(pre).min() for pre in relu_inputs(net, x)) >= KINK_MARGIN:
@@ -405,7 +403,7 @@ class TestBackward:
     def test_saturated_batch_has_vanishing_gradients(self):
         net = init_network(SMALL_ARCH, 7)
         # force huge correct-class margins through the output bias
-        net.parameters[-1]["b"][...] = [100.0, 0.0, 0.0]
+        layer_views(net.architecture, net.theta)[-1]["b"][...] = [100.0, 0.0, 0.0]
         rng = np.random.default_rng(3)
         x = random_batch(rng, 4, 16)
         logits, cache = forward(net, x)
@@ -443,7 +441,7 @@ class TestBackward:
         net = init_network(SMALL_ARCH, 13)
         x = random_batch(np.random.default_rng(5), 2, 16)
         _, cache = forward(net, x)
-        net.parameters[0]["w"][...] += 0.5
+        layer_views(net.architecture, net.theta)[0]["w"][...] += 0.5
         with pytest.raises(ValueError, match="stale cache"):
             backward(net, cache, [0, 1])
 
@@ -789,6 +787,12 @@ class TestZeroTrain:
         ds = sample_dataset(self.spec, 7)
         with pytest.raises(ValueError, match=r"kernel \[.*\] overflows the per-sample DCs"):
             zero_train_eval(ds, kernel=Kernel(np.array(taps)))
+
+    def test_overflowing_dc_spread_rejected(self):
+        """Finite per-sample DCs near 1e299 whose squared deviations overflow in std."""
+        ds = sample_dataset(self.spec, 7)
+        with pytest.raises(ValueError, match=r"kernel \[0\.0, 1e\+300\] overflows the per-class"):
+            zero_train_eval(ds, kernel=Kernel(np.array([0.0, 1e300])))
 
     def test_classes_with_equal_mean_dcs_rejected(self):
         row = np.cos(2 * np.pi * 5.0 * np.arange(64) / 64.0)
