@@ -76,17 +76,7 @@ class Artifacts:
     summary: Optional[str] = None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-# one %-format per column dtype kind; "%.17g" % v equals format(v, ".17g") as _fmt prints it
+# one %-format per column dtype kind; stdout prints floats with the same "%.17g"
 _COLUMN_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
 
@@ -129,9 +119,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def emit_manifest(path: str, manifest: RunManifest) -> None:
-    """Sorted-key JSON of the manifest; dataclasses in it are written field by field."""
-    _write_text(path, _render_json(manifest))
+def emit_manifest(path: str, text: str) -> None:
+    """Write a manifest's text as ``_render_json`` rendered it."""
+    _write_text(path, text)
 
 
 def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
@@ -151,13 +141,13 @@ def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
     manifest = RunManifest(
         command, artifacts.config, artifacts.seed, __version__, written, artifacts.results
     )
-    _render_json(manifest)
+    manifest_text = _render_json(manifest)
     os.makedirs(out_dir, exist_ok=True)
     for name, (header, columns) in artifacts.tables.items():
         emit_csv(os.path.join(out_dir, name), header, columns)
     for name, text in texts.items():
         _write_text(os.path.join(out_dir, name), text)
-    emit_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    emit_manifest(os.path.join(out_dir, "manifest.json"), manifest_text)
 
 
 def _parse_kernel(text: str):
@@ -180,7 +170,7 @@ def _cmd_coeffs(args) -> None:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     for c in sqrt_taylor_coefficients(args.n):
-        print(_fmt(c))
+        print("%.17g" % c)
 
 
 def _cmd_approx(args) -> Artifacts:
@@ -219,7 +209,7 @@ def _cmd_approx(args) -> Artifacts:
             ),
         },
         json_files={"convergence.json": convergence},
-        summary=f"rrmse {_fmt(err)}",
+        summary=f"rrmse {err:.17g}",
     )
 
 
@@ -312,7 +302,7 @@ def _cmd_train_compare(args) -> Artifacts:
     for name, net in report.nets.items():
         results[name] = {
             "median_final_conv_distance": float(np.median(net.final_conv_distances)),
-            "median_final_accuracy": float(np.median(net.final_accuracies)),
+            "median_final_accuracy": float(np.median(net.final_accuracy)),
         }
         if net.final_losses.size:  # no loss exists when no epoch ran
             results[name]["median_final_loss"] = float(np.median(net.final_losses))
@@ -382,7 +372,7 @@ def _cmd_zero_train(args) -> Artifacts:
             ),
         },
         seed=seed,
-        summary=f"accuracy {_fmt(report.accuracy)}",
+        summary=f"accuracy {report.accuracy:.17g}",
     )
 
 

@@ -199,7 +199,10 @@ def _check_below_nyquist(frequencies: np.ndarray, sample_rate: float) -> None:
 
 
 def _time_grid(sample_rate: float, duration: float) -> np.ndarray:
-    return np.arange(int(round(duration * sample_rate))) / sample_rate
+    n = int(round(duration * sample_rate))
+    if n < 1:
+        raise ValueError(f"duration {duration} s at sample_rate {sample_rate} Hz has no samples")
+    return np.arange(n) / sample_rate
 
 
 def harmonic_stack(f0: float, amplitudes: Sequence[float]) -> MultiTone:

@@ -79,8 +79,6 @@ def power_fluctuation(tones: MultiTone, sample_rate: float, duration: float) -> 
         a = mean_power(MultiTone(tones.frequencies, amps))
     freqs = tones.frequencies
     t = _time_grid(sample_rate, duration)
-    if t.size == 0:
-        raise ValueError("duration too short for the given sample rate")
     out = np.zeros(t.size)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for ai, fi in zip(amps, freqs):

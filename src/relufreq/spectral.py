@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,23 +46,27 @@ def dc_of(signal: Signal) -> float:
     return float(np.mean(signal.samples))
 
 
+# the smallest norm whose square is a normal float
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
 def _norm(values: np.ndarray) -> float:
-    """Euclidean norm; scaled by the largest magnitude only where squaring overflows."""
+    """Euclidean norm; max-scaled only where the sum of squares overflows or is not normal."""
     with np.errstate(over="ignore"):
         plain = float(np.linalg.norm(values))
-    if not math.isinf(plain):
+    if _SQRT_TINY <= plain < math.inf:
         return plain
     scale = float(np.max(np.abs(values)))
-    if math.isinf(scale):  # a value is itself infinite
-        return math.inf
+    if scale == 0.0 or math.isinf(scale):  # all zeros, or a value is itself infinite
+        return scale
     return scale * float(np.linalg.norm(values / scale))
 
 
 def rrmse(reference: Signal, estimate: Signal) -> float:
     """Relative root mean squared error: ||estimate - reference||_2 / ||reference||_2.
 
-    Norms whose squares leave the float range are computed max-scaled, so
-    finite samples give a finite result wherever the ratio itself is finite.
+    Norms whose squares overflow or underflow are computed max-scaled, so
+    the result does not depend on the samples' scale.
     """
     if len(reference) != len(estimate):
         raise ValueError("reference and estimate must have equal length")
@@ -93,13 +98,21 @@ def energy_fraction_above(spec: Spectrum, cutoff_hz: float) -> float:
     """Fraction of total spectral energy carried by bins above cutoff_hz.
 
     Uses the folded (absolute) frequency of every bin, so conjugate pairs
-    count on both sides and the ratio is exact under Parseval.
+    count on both sides and the ratio is exact under Parseval. Where the
+    energy sum is not a normal finite number, the magnitudes are divided by
+    the largest of them before squaring.
     """
     n = len(spec)
     k = np.arange(n)
     folded = np.minimum(k, n - k) * spec.bin_resolution
-    energy = np.abs(spec.bins) ** 2
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0
+    mags = np.abs(spec.bins)
+    with np.errstate(over="ignore"):
+        energy = mags**2
+        total = energy.sum()
+    if not sys.float_info.min <= total < math.inf:
+        peak = mags.max(initial=0.0)
+        if peak == 0.0:
+            return 0.0
+        energy = (mags / peak) ** 2
+        total = energy.sum()
     return float(energy[folded > cutoff_hz].sum() / total)

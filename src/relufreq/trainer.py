@@ -129,33 +129,27 @@ class TrainingRecord:
     curves["distance"] (n_conv, E + 1) each conv layer's distance from its
     initial weights at epochs 0..E (0 at initialization). final_accuracy is
     the training-set accuracy after the last epoch, in batch_size slices.
+    Records stacked over repetitions give every array, final_accuracy's ()
+    included, a leading (reps,) axis.
     """
 
     curves: Dict[str, np.ndarray]
-    final_accuracy: float
-
-
-@dataclass
-class NetComparison:
-    """One variant's curves stacked over repetitions as (reps, ...) arrays."""
-
-    curves: Dict[str, np.ndarray]
-    final_accuracies: np.ndarray
+    final_accuracy: np.ndarray
 
     @property
     def final_losses(self) -> np.ndarray:
-        """Last-epoch loss per repetition; empty when no epoch ran."""
-        return self.curves["loss"][:, -1:].ravel()
+        """Last-epoch loss per run, flat; empty when no epoch ran."""
+        return self.curves["loss"][..., -1:].ravel()
 
     @property
     def final_conv_distances(self) -> np.ndarray:
-        """L2 distance over all conv parameters after the last epoch, per repetition."""
-        return np.sqrt((self.curves["distance"][:, :, -1] ** 2).sum(axis=1))
+        """L2 distance over all conv parameters after the last epoch."""
+        return np.sqrt((self.curves["distance"][..., -1] ** 2).sum(axis=-1))
 
 
 @dataclass
 class ComparisonReport:
-    """Per-variant training curves plus every setting the variants ran with."""
+    """Each variant's records stacked over repetitions, plus every setting they ran with."""
 
     n_repetitions: int
     epochs: int
@@ -164,7 +158,7 @@ class ComparisonReport:
     dataset_spec: DatasetSpec
     dc_levels: Dict[int, float]
     architectures: Dict[str, Architecture]
-    nets: Dict[str, NetComparison]
+    nets: Dict[str, TrainingRecord]
 
 
 @dataclass
@@ -494,7 +488,7 @@ def train(
         curves["distance"][:, epoch] = weight_distance(arch, theta0, current.theta)[:n_conv]
     starts = range(0, y.size, batch_size)
     logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
-    return TrainingRecord(curves, float(np.mean(np.argmax(logits, axis=1) == y)))
+    return TrainingRecord(curves, np.mean(np.argmax(logits, axis=1) == y))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +563,6 @@ def run_comparison(
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     levels = dict(DEFAULT_DC_LEVELS)
     spec_dc = replace(spec, dc_map=levels)
@@ -581,7 +573,7 @@ def run_comparison(
     for name in VARIANTS:
         records = [rep[name] for rep in reps]
         curves = {c: np.stack([r.curves[c] for r in records]) for c in records[0].curves}
-        nets[name] = NetComparison(curves, np.array([r.final_accuracy for r in records]))
+        nets[name] = TrainingRecord(curves, np.array([r.final_accuracy for r in records]))
     architectures = {
         name: _comparison_architecture(activation, spec)
         for name, (activation, _) in VARIANTS.items()

@@ -79,10 +79,21 @@ class TestEmitCsv:
         assert not path.exists()
 
 
+def format_cell(value) -> str:
+    """One cell as the CLI's former per-cell formatter wrote it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
 def per_cell_csv(header, columns):
-    """The CSV bytes of one ``_fmt`` call per cell: the reference for ``emit_csv``."""
+    """The CSV bytes of one ``format_cell`` call per cell: the reference for ``emit_csv``."""
     lines = [",".join(header)]
-    lines += [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+    lines += [",".join(format_cell(v) for v in row) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -132,14 +143,14 @@ class TestEmitManifest:
             results={"value": 0.5},
         )
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        emit_manifest(str(p1), manifest)
-        emit_manifest(str(p2), manifest)
+        emit_manifest(str(p1), cli._render_json(manifest))
+        emit_manifest(str(p2), cli._render_json(manifest))
         assert read(p1) == read(p2)
 
     def test_seed_echoed_and_keys_sorted(self, tmp_path):
         manifest = RunManifest("demo", {"z": 1, "a": 2}, 42, "0.1.0", [])
         path = tmp_path / "m.json"
-        emit_manifest(str(path), manifest)
+        emit_manifest(str(path), cli._render_json(manifest))
         payload = json.loads(read(path))
         assert payload["seed"] == 42
         text = read(path).decode()
@@ -177,6 +188,8 @@ class TestDispatcher:
             ["approx", "--fs=0"],
             ["proto", "--kind", "avg", "--fs=-1"],
             ["proto", "--kind", "dif", "--fs=0"],
+            # a duration too short for one sample at the rate
+            ["approx", "--duration", "1e-9"],
         ],
     )
     def test_invalid_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
@@ -186,6 +199,8 @@ class TestDispatcher:
         assert "error: ValueError" in captured.err
         if any(arg.startswith("--fs") for arg in argv):
             assert "sample_rate" in captured.err
+        if "--duration" in argv:
+            assert "duration 1e-09 s at sample_rate 1024.0 Hz" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*.csv"))
 
@@ -808,12 +823,23 @@ def reference_jsonable(value):
     ids=[*DIGEST_INVOCATIONS, "zero-train-kernel", "train-compare-epochs0"],
 )
 def test_manifest_json_equals_the_reference_serializer(argv, tmp_path, monkeypatch, capsys):
-    """The full manifest text, full_config included, as the explicit dispatch renders it."""
-    manifests = []
-    monkeypatch.setattr(cli, "emit_manifest", lambda path, manifest: manifests.append(manifest))
+    """The full manifest text, full_config included, as the explicit dispatch renders it.
+
+    The manifest and every JSON file go through _render_json exactly once.
+    """
+    rendered = []
+    render = cli._render_json
+
+    def recording_render(payload):
+        rendered.append(payload)
+        return render(payload)
+
+    monkeypatch.setattr(cli, "_render_json", recording_render)
     assert run(argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    (manifest,) = manifests
+    (manifest,) = [payload for payload in rendered if isinstance(payload, RunManifest)]
+    json_files = [name for name in manifest.output_files if name.endswith(".json")]
+    assert len(rendered) == 1 + len(json_files)
     reference = reference_jsonable(asdict(manifest))
     text = json.dumps(reference, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    assert cli._render_json(manifest) == text
+    assert read(tmp_path / "manifest.json").decode("utf-8") == text

@@ -223,6 +223,11 @@ class TestSampleDataset:
             se = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(vals.mean() - (c + 1.0)) < 3.0 * se
 
+    def test_duration_below_one_sample_is_rejected(self):
+        spec = DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1e-9)
+        with pytest.raises(ValueError, match="duration 1e-09 s at sample_rate 64.0 Hz"):
+            sample_dataset(spec, 0)
+
 
 def box_muller_reference(spec, seed):
     """Scalar draws: class-major, two uniforms per sample, u1 taken from (0, 1]."""

@@ -164,6 +164,25 @@ class TestRrmse:
         scaled = rrmse(Signal(alpha * x, 1.0), Signal(alpha * y, 1.0))
         assert scaled == pytest.approx(base, rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-300, 300), st.integers(0, 2**31 - 1))
+    @example(k=-160, seed=0)  # subnormal squares
+    @example(k=-200, seed=0)  # squares that underflow to 0
+    @example(k=300, seed=0)  # squares that overflow
+    def test_power_of_ten_scale_invariance(self, k, seed):
+        """rrmse(s*ref, s*est) == rrmse(ref, est) for s = 10**k.
+
+        Every sample differs from its reference by at least half of it, so
+        rounding s*ref and s*est moves the ratio by well under 1e-14.
+        """
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], size=(2, 32))
+        ref = signs[0] * rng.uniform(0.5, 2.0, 32)
+        est = ref * signs[1] * rng.uniform(1.5, 3.0, 32)
+        base = rrmse(Signal(ref, 1.0), Signal(est, 1.0))
+        s = 10.0**k
+        assert rrmse(Signal(s * ref, 1.0), Signal(s * est, 1.0)) == pytest.approx(base, rel=1e-14)
+
 
 class TestBandOccupancy:
     def test_single_tone(self):
@@ -190,3 +209,13 @@ def test_energy_fraction_above():
     spec = spectrum(synthesize(tones, 64.0, 1.0))
     assert energy_fraction_above(spec, 10.0) == pytest.approx(0.5, abs=1e-9)
     assert energy_fraction_above(spec, 30.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_energy_fraction_above_is_scale_invariant():
+    """The same fraction, without a warning, with the samples scaled by 10**k, |k| <= 300."""
+    x = synthesize(MultiTone([3.0, 20.0], [1.0, 0.5]), 64.0, 1.0).samples
+    base = energy_fraction_above(spectrum(Signal(x, 64.0)), 10.0)
+    assert base == pytest.approx(0.2, rel=1e-14)
+    for k in range(-300, 301):
+        scaled = energy_fraction_above(spectrum(Signal(10.0**k * x, 64.0)), 10.0)
+        assert scaled == pytest.approx(base, rel=1e-14), k

@@ -687,6 +687,28 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison(1, 0, epochs=-1)
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_stacked_finals_equal_the_per_repetition_records(self, epochs, monkeypatch):
+        """Row r of a stacked record's finals is repetition r's own record's finals."""
+        records = []
+        train_one = trainer.train
+
+        def recording_train(*args):
+            records.append(train_one(*args))
+            return records[-1]
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
+        report = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
+        for i, (name, net) in enumerate(report.nets.items()):
+            # every variant of a repetition trains before the next repetition
+            recs = records[i :: len(report.nets)]
+            assert len(recs) == 3
+            assert net.final_losses.tolist() == [x for r in recs for x in r.final_losses]
+            for row, rec in enumerate(recs):
+                assert net.final_conv_distances[row] == rec.final_conv_distances
+                assert net.final_accuracy[row] == rec.final_accuracy
+
     def test_deterministic_given_base_seed(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, 8, 64.0, 1.0)
         a = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
