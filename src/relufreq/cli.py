@@ -174,6 +174,8 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_approx(args) -> Artifacts:
+    if args.harmonics < 1:
+        raise ValueError(f"--harmonics must be >= 1, got {args.harmonics}")
     # the top harmonic first, so an aliased count fails before any per-harmonic allocation
     _check_below_nyquist(np.array([args.f0 * args.harmonics]), args.fs)
     probe = ProbeSpec(args.f0, (1.0,) * args.harmonics, args.fs, args.duration)

@@ -190,6 +190,8 @@ class TestDispatcher:
             ["proto", "--kind", "dif", "--fs=0"],
             # a duration too short for one sample at the rate
             ["approx", "--duration", "1e-9"],
+            # the flag and the value given, not the empty amplitude tuple it makes
+            ["approx", "--harmonics", "-1"],
         ],
     )
     def test_invalid_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
@@ -201,6 +203,8 @@ class TestDispatcher:
             assert "sample_rate" in captured.err
         if "--duration" in argv:
             assert "duration 1e-09 s at sample_rate 1024.0 Hz" in captured.err
+        if "--harmonics" in argv:
+            assert "--harmonics must be >= 1, got -1" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*.csv"))
 
@@ -286,25 +290,38 @@ def _fail_on_constant(name):
     raise AssertionError(f"manifest holds {name}")
 
 
+# subcommands that only print, and take no --out
+PRINT_ONLY = {"coeffs"}
+
+
 def run_checked(argv):
     """Run argv into a fresh directory and check what any flag values must give.
 
     run() raises nothing and returns 0, 1 or 2; exit 1 prints one
     ``error: <Name>: `` line; a failed run writes no CSV, and a successful one
-    only finite CSV cells and a manifest without NaN or Infinity. Returns the
-    exit code and stderr.
+    only finite CSV cells and a manifest without NaN or Infinity, or for a
+    PRINT_ONLY subcommand only finite numbers on stdout. Returns the exit code
+    and stderr.
     """
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        printed = Path(tmp) / "stdout.txt"
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(argv + ["--out", str(out)])
+        out_flag = [] if argv[0] in PRINT_ONLY else ["--out", str(out)]
+        # stdout goes to a file, so a long printout holds no memory here
+        with open(printed, "w") as stdout:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                code = run(argv + out_flag)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert re.match(r"error: [A-Z]\w*: ", err.getvalue())
         if code != 0:
             assert not list(Path(tmp).rglob("*.csv"))
+            return code, err.getvalue()
+        if argv[0] in PRINT_ONLY:
+            with open(printed) as lines:
+                assert all(math.isfinite(float(line)) for line in lines)
             return code, err.getvalue()
         json.loads(read(out / "manifest.json"), parse_constant=_fail_on_constant)
         for csv in out.glob("*.csv"):
@@ -380,6 +397,23 @@ def test_heart_demo_flags_exit_0_1_or_2_with_finite_csvs(hr):
 @example(w0=0.0, w1=1e300)  # finite per-sample DCs whose per-class spread overflows
 def test_zero_train_kernel_exits_0_1_or_2_with_finite_csvs(w0, w1):
     run_checked(["zero-train", f"--kernel={w0!r},{w1!r}"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.integers(-10, 10**5), st.sampled_from([0, -1, 10**18, 10**20])))
+@example(n=10**5)
+def test_coeffs_n_exits_0_or_1_within_a_few_mb(n):
+    """Counts up to 1e5 print; 0, negative and unallocatable counts exit 1 at once."""
+    cli._build_parser()  # built once per process; not part of the invocation
+    tracemalloc.start()
+    try:
+        code, err = run_checked(["coeffs", f"--n={n}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == (0 if 1 <= n <= 10**5 else 1)
+    # numpy counts an allocation the system refused as traced memory
+    assert peak < 4 * 2**20 or err.startswith("error: MemoryError: Unable to allocate")
 
 
 SEEDS = st.one_of(st.integers(-(2**63), 2**64), st.sampled_from([-1, 0, 2**31 - 1, 2**63]))

@@ -335,6 +335,35 @@ class TestLoss:
             loss_sparse_ce(np.zeros((2, 3)), [0, 3])
 
 
+ROW_LABELS = np.arange(32) % 3
+LABEL_DEFECTS = {
+    "16_labels_for_32_rows": ROW_LABELS[:16],
+    "a_column_of_labels": ROW_LABELS[:, None],
+    "minus_one": np.where(ROW_LABELS == 2, -1, ROW_LABELS),
+    "the_class_count": np.where(ROW_LABELS == 2, 3, ROW_LABELS),
+    "a_fraction": np.where(ROW_LABELS == 1, 1.7, ROW_LABELS),
+    "nan": np.where(ROW_LABELS == 1, np.nan, ROW_LABELS),
+    "inf": np.where(ROW_LABELS == 1, np.inf, ROW_LABELS),
+}
+
+
+@pytest.mark.parametrize("labels", LABEL_DEFECTS.values(), ids=LABEL_DEFECTS.keys())
+@pytest.mark.parametrize("path", ["loss_sparse_ce", "backward"])
+def test_loss_and_backward_reject_the_same_labels(path, labels):
+    """One integer label in 0..2 per row of a 32-row batch, or ValueError from either path.
+
+    Non-finite labels raise without a RuntimeWarning, which pytest would turn
+    into an error of its own.
+    """
+    net = generic_comparison_net("relu", 0)
+    logits, cache = forward(net, sample_dataset(default_dataset_spec(), 0).inputs[:32])
+    with pytest.raises(ValueError, match=r"labels must be 32 integers in 0\.\.2"):
+        if path == "backward":
+            backward(net, cache, labels)
+        else:
+            loss_sparse_ce(logits, labels)
+
+
 def finite_difference_max_relative_error(net, x, labels, step=1e-5):
     logits, cache = forward(net, x)
     grads = layer_views(net.architecture, backward(net, cache, labels))
@@ -445,6 +474,14 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale cache"):
             backward(net, cache, [0, 1])
 
+    def test_fresh_cache_of_nan_parameters_is_not_stale(self):
+        """NaN != NaN, so a value comparison would call this cache stale."""
+        net = init_network(SMALL_ARCH, 13)
+        net = replace(net, theta=np.full_like(net.theta, np.nan))
+        _, cache = forward(net, random_batch(np.random.default_rng(5), 2, 16))
+        backward(net, cache, [0, 1])
+        assert math.isnan(cache["loss"])
+
 
 @settings(max_examples=25, deadline=None)
 @given(small_architectures(), st.integers(0, 2**32 - 1))
@@ -463,6 +500,108 @@ def test_gradients_match_finite_differences_on_random_architectures(arch, seed):
     net, x = generic_point(init_network(arch, seed), rng, 3, arch.input_length)
     labels = rng.integers(0, arch.n_classes, 3)
     assert finite_difference_max_relative_error(net, x, labels) < 1e-4
+
+
+def reference_loss(logits, labels):
+    """The mean cross entropy from a max shift and exp of its own."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_softmax = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_softmax[np.arange(labels.size), labels].mean())
+
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_backward(net, cache, labels):
+    """The gradient from a softmax pass of its own, apart from the loss's."""
+    arch = net.architecture
+    params = layer_views(arch, net.theta)
+    grad = np.zeros_like(net.theta)
+    grads = layer_views(arch, grad)
+    batch = labels.size
+    n_conv = len(arch.conv_layers)
+
+    dlogits = reference_softmax(cache["logits"])
+    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits /= batch
+
+    grads[n_conv + 1]["w"][...] = cache["hidden"].T @ dlogits
+    grads[n_conv + 1]["b"][...] = dlogits.sum(axis=0)
+    dhidden = dlogits @ params[n_conv + 1]["w"].T
+    dhidden_pre = dhidden * (cache["hidden_pre"] > 0)
+    grads[n_conv]["w"][...] = cache["feat"].T @ dhidden_pre
+    grads[n_conv]["b"][...] = dhidden_pre.sum(axis=0)
+    dfeat = dhidden_pre @ params[n_conv]["w"].T
+
+    out_shape = cache["conv"][-1]["pre"].shape
+    if arch.flatten_mode == "flatten":
+        dacts = dfeat.reshape(out_shape)
+    else:
+        dacts = np.broadcast_to(dfeat[:, :, None] / out_shape[2], out_shape)
+    for i in range(n_conv - 1, -1, -1):
+        layer_cache = cache["conv"][i]
+        if arch.conv_layers[i].activation == "relu":
+            dpre = dacts * (layer_cache["pre"] > 0)
+        else:
+            dpre = np.asarray(dacts)
+        kernel_size = arch.conv_layers[i].kernel_size
+        grads[i]["w"][...] = _conv_weight_grad(layer_cache["input"], dpre, kernel_size)
+        grads[i]["b"][...] = dpre.sum(axis=(0, 2))
+        if i > 0:
+            dacts = _conv_input_grad(params[i]["w"], dpre)
+    return grad
+
+
+def assert_step_equals_the_two_pass_reference(net, x, labels, logits=None):
+    """loss_sparse_ce, backward's cache["loss"] and its gradient equal the references' bits.
+
+    logits, when given, replace forward's in the cache that both gradients read.
+    """
+    _, cache = forward(net, x)
+    if logits is not None:
+        cache["logits"] = logits
+    with np.errstate(over="ignore"):  # extreme logits: -1.7e308 - 1.7e308 is -inf
+        grad = backward(net, cache, labels)
+        expected_grad = reference_backward(net, cache, labels)
+        loss = loss_sparse_ce(cache["logits"], labels)
+        expected_loss = reference_loss(cache["logits"], labels)
+    assert_bitwise_equal(grad, expected_grad)
+    assert_bitwise_equal(np.array(loss), np.array(expected_loss))
+    assert_bitwise_equal(np.array(cache["loss"]), np.array(expected_loss))
+
+
+EXTREME_LOGITS = st.sampled_from([1.7e308, -1.7e308, 1e300, -1e300, 700.0, -745.0, 0.0, -0.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_architectures(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.data()
+)
+def test_loss_and_gradient_equal_the_two_pass_reference(arch, rows, seed, extreme, data):
+    """Half the draws replace the logits by extreme values, ties and signed zeros."""
+    rng = np.random.default_rng(seed)
+    net = init_network(arch, seed)
+    x = random_batch(rng, rows, arch.input_length)
+    labels = rng.integers(0, arch.n_classes, rows)
+    logits = None
+    if extreme:
+        size = rows * arch.n_classes
+        cells = data.draw(st.lists(EXTREME_LOGITS, min_size=size, max_size=size))
+        logits = np.reshape(cells, (rows, arch.n_classes))
+    assert_step_equals_the_two_pass_reference(net, x, labels, logits)
+
+
+@pytest.mark.parametrize("rows", [32, 4])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+def test_loss_and_gradient_equal_the_two_pass_reference_on_training_shapes(activation, rows):
+    """train-compare's batches of 32 and its last batch of 4."""
+    trainset = sample_dataset(default_dataset_spec(), rows)
+    net = generic_comparison_net(activation, rows)
+    inputs, labels = trainset.inputs[:rows], trainset.labels[:rows]
+    assert_step_equals_the_two_pass_reference(net, inputs, labels)
 
 
 class TestAdam:
@@ -582,6 +721,13 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="epoch 1, batch 2"):
                 train(net, toy_separable_set(), 3, 8, AdamHyper(lr=1e305))
+
+    def test_nan_parameters_diverge_at_the_first_batch(self):
+        """train takes the loss from backward, whose stale-cache check must let NaN through."""
+        net = init_network(self.arch, 0)
+        net = replace(net, theta=np.full_like(net.theta, np.nan))
+        with pytest.raises(DivergenceError, match="loss is nan at epoch 1, batch 1"):
+            train(net, toy_separable_set(), 2, 8)
 
     def test_loss_decreases_on_separable_toy(self):
         drops = []
