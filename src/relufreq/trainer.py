@@ -10,9 +10,10 @@ All operations are pure functions of their inputs and seeds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +25,15 @@ RELU = "relu"
 LINEAR = "linear"
 
 
+def _store_sizes(spec, **minimums: int) -> None:
+    """Store each named size as an int >= its minimum; numpy integers pass, 2.0 and "3" do not."""
+    for name, low in minimums.items():
+        value = getattr(spec, name)
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(spec, name, operator.index(value))
+
+
 @dataclass(frozen=True)
 class ConvLayerSpec:
     filters: int
@@ -31,36 +41,30 @@ class ConvLayerSpec:
     activation: str = RELU
 
     def __post_init__(self) -> None:
-        if self.filters < 1 or self.kernel_size < 1:
-            raise ValueError("filters and kernel_size must be >= 1")
+        _store_sizes(self, filters=1, kernel_size=1)
         if self.activation not in (RELU, LINEAR):
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """Conv feature extractor + two-layer non-linear classifier head.
+    """Conv feature extractor, global average pooling, two-layer classifier head.
 
-    The hidden dense layer always uses ReLU so network variants differ only
-    in their conv activations. input_length is needed to size the flatten
-    head; global_average ignores it for sizing but still validates inputs.
+    The pooled features are each last conv channel's DC. The hidden dense
+    layer always uses ReLU, so network variants differ only in their conv
+    activations. input_length is the length every input row must have.
     """
 
     conv_layers: Tuple[ConvLayerSpec, ...]
     hidden_units: int
     n_classes: int
-    flatten_mode: str = "flatten"  # or "global_average"
     input_length: int = 64
+    flatten_mode: ClassVar[str] = "global_average"  # the only head; perfbench's cost model reads it
 
     def __post_init__(self) -> None:
         if len(self.conv_layers) < 1:
             raise ValueError("need at least one conv layer")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
-        if self.flatten_mode not in ("flatten", "global_average"):
-            raise ValueError(f"unknown flatten_mode {self.flatten_mode!r}")
+        _store_sizes(self, hidden_units=1, n_classes=2, input_length=1)
         if self.input_length < max(s.kernel_size for s in self.conv_layers):
             raise ValueError("input_length shorter than a conv kernel")
 
@@ -73,9 +77,8 @@ def _layout(arch: Architecture) -> Tuple[int, Tuple[Tuple[slice, Tuple[int, ...]
     in_channels, kernel_size), dense taps (d_in, d_out), biases follow taps.
     """
     channels = [1] + [spec.filters for spec in arch.conv_layers]
-    feat_dim = channels[-1] * (arch.input_length if arch.flatten_mode == "flatten" else 1)
     units = [(s.filters, (s.filters, c, s.kernel_size)) for s, c in zip(arch.conv_layers, channels)]
-    for d_in, d_out in ((feat_dim, arch.hidden_units), (arch.hidden_units, arch.n_classes)):
+    for d_in, d_out in ((channels[-1], arch.hidden_units), (arch.hidden_units, arch.n_classes)):
         units.append((d_out, (d_in, d_out)))
     layers, offset = [], 0
     for n_bias, taps_shape in units:
@@ -320,10 +323,7 @@ def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
         pre = _conv_forward(acts, params[i]["w"]) + params[i]["b"][None, :, None]
         conv_caches.append({"input": acts, "pre": pre})
         acts = np.maximum(pre, 0.0) if spec.activation == RELU else pre
-    if arch.flatten_mode == "flatten":
-        feat = acts.reshape(acts.shape[0], -1)
-    else:
-        feat = acts.mean(axis=2)
+    feat = acts.mean(axis=2)
     n_conv = len(arch.conv_layers)
     hidden_pre = feat @ params[n_conv]["w"] + params[n_conv]["b"]
     hidden = np.maximum(hidden_pre, 0.0)
@@ -343,7 +343,8 @@ def _cross_entropy(logits: np.ndarray, labels) -> Tuple[float, np.ndarray]:
     """Mean cross entropy of integer labels under softmax(logits), and that softmax."""
     n_rows, n_classes = logits.shape
     y = np.asarray(labels, dtype=float)
-    if y.shape != (n_rows,) or not np.all((y >= 0) & (y < n_classes) & (y == np.floor(y))):
+    valid = np.all((y >= 0) & (y < n_classes) & (y == np.floor(y)))
+    if not (n_rows and y.shape == (n_rows,) and valid):
         raise ValueError(f"labels must be {n_rows} integers in 0..{n_classes - 1}")
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -383,16 +384,11 @@ def backward(net: Network, cache: dict, labels) -> np.ndarray:
     dfeat = dhidden_pre @ params[n_conv]["w"].T
 
     out_shape = cache["conv"][-1]["pre"].shape
-    if arch.flatten_mode == "flatten":
-        dacts = dfeat.reshape(out_shape)
-    else:
-        dacts = np.broadcast_to(dfeat[:, :, None] / out_shape[2], out_shape)
+    dacts = np.broadcast_to(dfeat[:, :, None] / out_shape[2], out_shape)
     for i in range(n_conv - 1, -1, -1):
         layer_cache = cache["conv"][i]
-        if arch.conv_layers[i].activation == RELU:
-            dpre = dacts * (layer_cache["pre"] > 0)
-        else:
-            dpre = np.asarray(dacts)
+        relu = arch.conv_layers[i].activation == RELU
+        dpre = dacts * (layer_cache["pre"] > 0) if relu else dacts
         kernel_size = arch.conv_layers[i].kernel_size
         grads[i]["w"][...] = _conv_weight_grad(layer_cache["input"], dpre, kernel_size)
         grads[i]["b"][...] = dpre.sum(axis=(0, 2))
@@ -504,9 +500,9 @@ def _comparison_architecture(activation: str, spec: DatasetSpec) -> Architecture
     # Global average pooling feeds the head only channel means: the relu
     # variant's rectification DC and the injected per-class offsets pass
     # through strongly, while the plain linear variant is left with weak
-    # window-leakage features. A flatten head lets the classifier read the
-    # raw waveform and every variant converges instantly, erasing the
-    # between-variant differences this comparison exists to measure.
+    # window-leakage features. So it is the only head: a flatten head lets the
+    # classifier read the raw waveform and every variant converges instantly,
+    # erasing the between-variant differences this comparison exists to measure.
     return Architecture(
         conv_layers=(
             ConvLayerSpec(8, 5, activation),
@@ -514,7 +510,6 @@ def _comparison_architecture(activation: str, spec: DatasetSpec) -> Architecture
         ),
         hidden_units=16,
         n_classes=spec.n_classes,
-        flatten_mode="global_average",
         input_length=int(round(spec.sample_rate * spec.duration)),
     )
 

@@ -188,7 +188,6 @@ def test_c07_gradient_correctness():
         (ConvLayerSpec(3, 3, "relu"), ConvLayerSpec(2, 3, "relu")),
         hidden_units=5,
         n_classes=3,
-        flatten_mode="flatten",
         input_length=16,
     )
     worst = 0.0

@@ -680,7 +680,8 @@ class TestTrainCompare:
             layers = tuple(ConvLayerSpec(**layer) for layer in fields.pop("conv_layers"))
             rebuilt.append(Architecture(conv_layers=layers, **fields))
         assert rebuilt == trained
-        assert rebuilt[0].flatten_mode == "global_average"
+        keys = {"conv_layers", "hidden_units", "n_classes", "input_length"}
+        assert all(set(config["architectures"][name]) == keys for name in config["networks"])
         assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
         assert AdamHyper(**config["adam"]) == AdamHyper()
 

@@ -17,9 +17,11 @@ from relufreq import (
     DivergenceError,
     Kernel,
     LabeledSet,
+    Signal,
     adam_step,
     backward,
     dc_model,
+    dc_of,
     forward,
     init_adam_state,
     init_network,
@@ -45,7 +47,6 @@ SMALL_ARCH = Architecture(
     (ConvLayerSpec(3, 3, "relu"), ConvLayerSpec(2, 3, "relu")),
     hidden_units=5,
     n_classes=3,
-    flatten_mode="flatten",
     input_length=16,
 )
 
@@ -56,7 +57,7 @@ def random_batch(rng, n, length):
 
 @st.composite
 def small_architectures(draw):
-    """1-2 conv layers of relu/linear mixes under either head, all dimensions tiny."""
+    """1-2 conv layers of relu/linear mixes, all dimensions tiny."""
     conv = tuple(
         ConvLayerSpec(
             draw(st.integers(1, 3)),
@@ -69,7 +70,6 @@ def small_architectures(draw):
         conv,
         hidden_units=draw(st.integers(1, 4)),
         n_classes=draw(st.integers(2, 3)),
-        flatten_mode=draw(st.sampled_from(["flatten", "global_average"])),
         input_length=draw(st.integers(3, 8)),
     )
 
@@ -92,7 +92,7 @@ class TestInitNetwork:
 
     def test_fan_in_bound_and_zero_biases(self):
         net = init_network(SMALL_ARCH, 9)
-        fan_ins = [1 * 3, 3 * 3, 2 * 16, 5]
+        fan_ins = [1 * 3, 3 * 3, 2, 5]
         for layer, fan_in in zip(layer_views(net.architecture, net.theta), fan_ins):
             assert np.all(np.abs(layer["w"]) <= math.sqrt(1.0 / fan_in))
             assert np.all(layer["b"] == 0.0)
@@ -112,17 +112,46 @@ class TestLayout:
             layer_views(SMALL_ARCH, theta[:-1])
 
 
+class TestSizes:
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", np.float64(2.0)])
+    @pytest.mark.parametrize(
+        "field", ["filters", "kernel_size", "hidden_units", "n_classes", "input_length"]
+    )
+    def test_non_integer_sizes_raise_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            if field in ("filters", "kernel_size"):
+                replace(SMALL_ARCH.conv_layers[0], **{field: value})
+            else:
+                replace(SMALL_ARCH, **{field: value})
+
+    def test_numpy_integer_sizes_are_stored_as_int(self):
+        conv = ConvLayerSpec(np.int64(3), np.int32(3), "relu")
+        arch = replace(
+            SMALL_ARCH, conv_layers=(conv, SMALL_ARCH.conv_layers[1]), hidden_units=np.int64(5)
+        )
+        assert arch == SMALL_ARCH
+        assert type(conv.filters) is type(conv.kernel_size) is type(arch.hidden_units) is int
+
+    def test_a_float_size_leaves_the_layout_cache_clean(self):
+        """A float size equal to an int one hashes like it, so it must never reach
+        _layout's cache, where it would stand in for the int architecture."""
+        arch = _comparison_architecture("relu", default_dataset_spec())
+        trainer._layout.cache_clear()
+        with pytest.raises(ValueError, match="hidden_units"):
+            init_network(replace(arch, hidden_units=16.0), 0)
+        assert init_network(arch, 0).theta.shape == (trainer._layout(arch)[0],)
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_architectures())
 def test_layer_views_tile_the_vector_in_order(arch):
     """Views of arange(size) come taps-then-bias, layer by layer, and cover it once."""
     channels = [1] + [spec.filters for spec in arch.conv_layers]
-    feat = channels[-1] * (arch.input_length if arch.flatten_mode == "flatten" else 1)
     shapes = [
         ((spec.filters, c, spec.kernel_size), (spec.filters,))
         for spec, c in zip(arch.conv_layers, channels)
     ]
-    shapes += [((feat, arch.hidden_units), (arch.hidden_units,))]
+    shapes += [((channels[-1], arch.hidden_units), (arch.hidden_units,))]
     shapes += [((arch.hidden_units, arch.n_classes), (arch.n_classes,))]
     size = sum(math.prod(w) + math.prod(b) for w, b in shapes)
     assert init_network(arch, 0).theta.shape == (size,)
@@ -308,6 +337,20 @@ class TestForward:
             forward(net, np.ones((1, 8)))
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_architectures(), st.integers(3, 69), st.integers(1, 32), st.integers(0, 2**32 - 1))
+def test_the_head_reads_each_channels_dc(arch, length, batch, seed):
+    """The pooled feature of row b, channel o is dc_of that channel's activation, bit for bit."""
+    arch = replace(arch, input_length=length)
+    net = init_network(arch, seed)
+    _, cache = forward(net, random_batch(np.random.default_rng(seed), batch, length))
+    act = cache["conv"][-1]["pre"]
+    if arch.conv_layers[-1].activation == "relu":
+        act = np.maximum(act, 0.0)
+    dcs = [[dc_of(Signal(channel, 64.0)) for channel in row] for row in act]
+    assert cache["feat"].tobytes() == np.array(dcs).tobytes()
+
+
 class TestLoss:
     def test_uniform_logits(self):
         logits = np.ones((5, 3)) * 0.7
@@ -362,6 +405,17 @@ def test_loss_and_backward_reject_the_same_labels(path, labels):
             backward(net, cache, labels)
         else:
             loss_sparse_ce(logits, labels)
+
+
+@pytest.mark.parametrize("path", ["loss_sparse_ce", "backward"])
+def test_an_empty_batch_raises_without_a_warning(path):
+    net = init_network(SMALL_ARCH, 0)
+    logits, cache = forward(net, np.zeros((0, 16)))
+    with pytest.raises(ValueError, match=r"labels must be 0 integers in 0\.\.2"):
+        if path == "backward":
+            backward(net, cache, [])
+        else:
+            loss_sparse_ce(logits, [])
 
 
 def finite_difference_max_relative_error(net, x, labels, step=1e-5):
@@ -421,9 +475,7 @@ class TestBackward:
                 assert err < 1e-4, f"seed={seed} batch={batch_seed} err={err}"
 
     def test_gap_head_gradients(self):
-        arch = Architecture(
-            (ConvLayerSpec(3, 3, "linear"),), 4, 3, "global_average", 16
-        )
+        arch = Architecture((ConvLayerSpec(3, 3, "linear"),), 4, 3, 16)
         rng = np.random.default_rng(20)
         net, x = generic_point(init_network(arch, 5), rng, 5, 16)
         labels = rng.integers(0, 3, 5)
@@ -446,7 +498,6 @@ class TestBackward:
             (ConvLayerSpec(3, 3, "linear"), ConvLayerSpec(2, 3, "linear")),
             4,
             3,
-            "flatten",
             16,
         )
         net = init_network(arch, 11)
@@ -490,7 +541,6 @@ class TestBackward:
         (ConvLayerSpec(1, 1, "relu"), ConvLayerSpec(1, 1, "linear")),
         hidden_units=1,
         n_classes=2,
-        flatten_mode="flatten",
         input_length=7,
     ),
     53951,
@@ -537,10 +587,7 @@ def reference_backward(net, cache, labels):
     dfeat = dhidden_pre @ params[n_conv]["w"].T
 
     out_shape = cache["conv"][-1]["pre"].shape
-    if arch.flatten_mode == "flatten":
-        dacts = dfeat.reshape(out_shape)
-    else:
-        dacts = np.broadcast_to(dfeat[:, :, None] / out_shape[2], out_shape)
+    dacts = np.broadcast_to(dfeat[:, :, None] / out_shape[2], out_shape)
     for i in range(n_conv - 1, -1, -1):
         layer_cache = cache["conv"][i]
         if arch.conv_layers[i].activation == "relu":
@@ -701,9 +748,7 @@ def toy_separable_set(n_per_class=16, length=16):
 
 
 class TestTrain:
-    arch = Architecture(
-        (ConvLayerSpec(2, 3, "relu"),), 4, 2, "global_average", 16
-    )
+    arch = Architecture((ConvLayerSpec(2, 3, "relu"),), 4, 2, 16)
 
     def test_zero_epochs(self):
         record = train(init_network(self.arch, 0), toy_separable_set(), 0, 8)
