@@ -23,7 +23,7 @@ from .convnets import (
 )
 from .errors import ReluFreqError
 from .multitone import DatasetSpec, ProbeSpec, _check_below_nyquist, sample_dataset
-from .relu_taylor import TaylorConfig, approximate_relu, relu
+from .relu_taylor import PRESCALE, TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
 from .trainer import SEED_DERIVATION, ComparisonReport, run_comparison, zero_train_eval
 
@@ -181,7 +181,7 @@ def _cmd_approx(args) -> Artifacts:
     probe = ProbeSpec(args.f0, (1.0,) * args.harmonics, args.fs, args.duration)
     x = probe.signal()
     y_relu = relu(x)
-    cfg = TaylorConfig(args.terms, args.prescale)
+    cfg = TaylorConfig(args.terms)
     approx, report = approximate_relu(probe.tones, probe.sample_rate, probe.duration, cfg)
     err = rrmse(y_relu, approx)
     freqs, x_mag = spectrum(x).one_sided()
@@ -196,6 +196,7 @@ def _cmd_approx(args) -> Artifacts:
         config={
             "probe": probe,
             "taylor": cfg,
+            "prescale": PRESCALE,
             "rrmse_definition": RRMSE_DEFINITION,
             "dft_normalization": DFT_NORMALIZATION,
         },
@@ -401,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", type=float, default=PROBE.sample_rate)
     p.add_argument("--duration", type=float, default=PROBE.duration)
     p.add_argument("--terms", type=int, default=50)
-    p.add_argument("--prescale", type=float, default=1e-4)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_approx)
 

@@ -75,7 +75,9 @@ def conv1d(signal: Signal, kernel: Kernel) -> Signal:
 def fir_response(kernel: Kernel, frequencies: Sequence[float], sample_rate: float) -> np.ndarray:
     """Gain of the kernel's frequency response at each frequency."""
     freqs = np.asarray(frequencies, dtype=float)
-    if np.any(freqs < 0) or np.any(freqs > sample_rate / 2.0):
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    if not np.all((freqs >= 0) & (freqs <= sample_rate / 2.0)):
         raise ValueError("frequencies must lie in [0, Nyquist]")
     n = np.arange(kernel.taps.size)
     # response at normalized frequency f/fs: sum_n w_n exp(-i 2 pi (f/fs) n)

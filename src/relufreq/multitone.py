@@ -153,7 +153,10 @@ class LabeledSet:
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels, dtype=float)
+        if not np.all((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))):
+            raise ValueError("labels must be integers >= 0")
+        self.labels = labels.astype(int)
         if self.inputs.ndim != 2:
             raise ValueError("inputs must have shape (samples, length)")
         if self.labels.shape != (len(self.inputs),):
@@ -162,8 +165,6 @@ class LabeledSet:
             self.frequencies = np.asarray(self.frequencies, dtype=float)
             if self.frequencies.shape != self.labels.shape:
                 raise ValueError("frequencies must match inputs in length")
-        if np.any(self.labels < 0):
-            raise ValueError("labels must be >= 0")
         if not 0 < self.sample_rate < math.inf:
             raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
 

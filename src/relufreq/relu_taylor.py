@@ -19,25 +19,21 @@ from .multitone import MultiTone, Signal, _time_grid, synthesize
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
+# approximate_relu scales the amplitudes by PRESCALE and its result back: a no-op in
+# exact arithmetic, but on the default approx probe it moves samples by up to ~1.9e22
+# where the series diverges, and the recorded approx_time.csv bytes depend on that.
+PRESCALE = 1e-4
+
 
 @dataclass(frozen=True)
 class TaylorConfig:
-    """Series truncation and the amplitude prescale applied before evaluation.
-
-    Scaling down by ``prescale`` and back up is a no-op in exact arithmetic
-    but not in floating point: on the default ``approx`` probe, prescale 1e-4
-    and 1 differ by up to ~1.9e22 where the series diverges. The bytes of
-    ``approx_time.csv`` depend on it, so the prescale stays.
-    """
+    """Series truncation: the number of terms of sqrt(1 + u) summed."""
 
     n_terms: int = 50
-    prescale: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
-        if not 0 < self.prescale < math.inf:
-            raise ValueError(f"prescale must be finite and > 0, got {self.prescale}")
 
 
 @dataclass(frozen=True)
@@ -153,17 +149,21 @@ def approximate_relu(
 ) -> Tuple[Signal, ConvergenceReport]:
     """Series approximation of relu(x) for a zero-phase multi-tone x.
 
-    Amplitudes are scaled by cfg.prescale before evaluation and the result is
+    Amplitudes are scaled by PRESCALE before evaluation and the result is
     scaled back, mirroring the procedure the approximation is defined with.
     The round trip is kept because it is not bitwise neutral and the
-    ``approx_time.csv`` artifact depends on it (see TaylorConfig).
+    ``approx_time.csv`` artifact depends on it. Amplitudes whose largest
+    scaled value is not a normal float raise ValueError.
     The fluctuation is invariant under that scaling, so the report flags any
     samples with |u| >= 1 where the truncated series is unreliable; no
     clamping is applied there. Where the series' terms grow past the float
-    range the partial sum is no longer finite, and DivergenceError is raised.
+    range the result is no longer finite, and DivergenceError is raised.
     """
     mean_power(tones)  # raise DegenerateInputError before any work
-    scaled = MultiTone(tones.frequencies, tones.amplitudes * cfg.prescale)
+    largest = float(tones.amplitudes.max())
+    if largest * PRESCALE < _TINY:
+        raise ValueError(f"amplitude {largest!r} times PRESCALE {PRESCALE!r} is not a normal float")
+    scaled = MultiTone(tones.frequencies, tones.amplitudes * PRESCALE)
     x = synthesize(scaled, sample_rate, duration)
     power = 2.0 * mean_power(scaled)
     if _TINY <= power < math.inf:
@@ -173,11 +173,7 @@ def approximate_relu(
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as DivergenceError
         fluct = power_fluctuation(scaled, sample_rate, duration)
         series = sqrt1p_series(fluct.samples, cfg.n_terms)
-        dc_part = dc_amp * series
-        if np.all(np.isfinite(dc_part)):
-            approx = (x.samples / 2.0 + dc_part) / cfg.prescale
-        else:  # the product left the float range before the division by the prescale
-            approx = x.samples / (2.0 * cfg.prescale) + (dc_amp / cfg.prescale) * series
+        approx = (x.samples / 2.0 + dc_amp * series) / PRESCALE
     if not np.all(np.isfinite(approx)):
         peak = float(np.max(np.abs(fluct.samples)))
         raise DivergenceError(

@@ -167,7 +167,7 @@ class TestDispatcher:
         capsys.readouterr()
 
     def test_runtime_failure_exits_1_with_error_name(self, tmp_path, capsys):
-        code = run(["approx", "--prescale", "0", "--out", str(tmp_path)])
+        code = run(["approx", "--terms", "0", "--out", str(tmp_path)])
         assert code == 1
         assert "ValueError" in capsys.readouterr().err
 
@@ -356,18 +356,16 @@ EDGE_FLOATS = st.sampled_from(
     st.one_of(EDGE_FLOATS, st.floats(-1.0, 50.0)),
     st.one_of(EDGE_FLOATS, st.floats(-1e5, 1e5), st.floats(40.0, 4096.0)),
     st.one_of(EDGE_FLOATS, st.floats(-0.5, 4.0)),
-    st.one_of(EDGE_FLOATS, st.floats(1e-300, 1e300)),
     st.integers(1, 50),
 )
-@example(f0=5.0, fs=1024.0, duration=1.0, prescale=1e-300, terms=5)
-@example(f0=5.0, fs=1024.0, duration=1.0, prescale=1e300, terms=5)
-def test_approx_float_flags_exit_0_1_or_2_with_finite_csvs(f0, fs, duration, prescale, terms):
+def test_approx_float_flags_exit_0_1_or_2_with_finite_csvs(f0, fs, duration, terms):
     # a sample count in [1e5, 1e18] could really be allocated; smaller ones
     # are cheap and larger ones fail at once
     count = fs * duration
     assume(not (math.isfinite(count) and 1e5 <= round(count) <= 1e18))
     argv = ["approx", f"--f0={f0!r}", f"--fs={fs!r}", f"--duration={duration!r}"]
-    run_checked(argv + [f"--prescale={prescale!r}", f"--terms={terms}"])
+    code, _ = run_checked(argv + [f"--terms={terms}"])
+    assert code != 2  # every flag is a repr float or an int, so parsing never fails
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,8 +475,8 @@ class TestApprox:
         assert convergence["valid"] is False
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["command"] == "approx"
-        assert manifest["full_config"]["taylor"]["n_terms"] == 50
-        assert manifest["full_config"]["taylor"]["prescale"] == 1e-4
+        assert manifest["full_config"]["taylor"] == {"n_terms": 50}
+        assert manifest["full_config"]["prescale"] == 1e-4
         assert manifest["full_config"]["rrmse_definition"]
         assert manifest["results"]["rrmse"] == float(printed.split()[1])
         time_lines = read(out / "approx_time.csv").decode().strip().split("\n")
@@ -520,26 +518,6 @@ class TestApprox:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: AliasingError: ")
         assert peak < 2**20
-
-    @pytest.mark.parametrize(
-        "prescale, terms",
-        [
-            pytest.param("1e-300", "5", id="1e-300"),
-            pytest.param("1e300", "5", id="1e300"),
-            # at the default 50 terms dc_amp * series itself leaves the float range
-            pytest.param("1e300", "50", id="1e300-50-terms"),
-            pytest.param("1e305", "50", id="1e305-50-terms"),
-        ],
-    )
-    def test_rrmse_does_not_depend_on_the_prescale(self, prescale, terms, tmp_path, capsys):
-        def rrmse_at(value):
-            out = tmp_path / value
-            argv = ["approx", f"--terms={terms}", f"--prescale={value}", "--out", str(out)]
-            assert run(argv) == 0
-            return json.loads(read(out / "manifest.json"))["results"]["rrmse"]
-
-        assert rrmse_at(prescale) == pytest.approx(rrmse_at("1"), rel=1e-12)
-        assert capsys.readouterr().err == ""
 
 
 class TestProto:

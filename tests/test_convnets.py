@@ -80,6 +80,23 @@ class TestFirResponse:
         with pytest.raises(ValueError):
             fir_response(Kernel(np.ones(2)), [33.0], 64.0)
 
+    @pytest.mark.parametrize(
+        "frequency, sample_rate, message",
+        [
+            (np.nan, 64.0, "frequencies must lie in"),
+            (-1.0, 64.0, "frequencies must lie in"),
+            (1.0, np.nan, "sample_rate must be finite and > 0, got nan"),
+            (1.0, np.inf, "sample_rate must be finite and > 0, got inf"),
+            (0.0, 0.0, "sample_rate must be finite and > 0, got 0.0"),
+            (1.0, -64.0, "sample_rate must be finite and > 0, got -64.0"),
+        ],
+    )
+    def test_rejects_nan_and_rates_that_are_not_finite_and_positive(
+        self, frequency, sample_rate, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            fir_response(Kernel(np.ones(2)), [frequency], sample_rate)
+
 
 class TestAvgPool:
     def test_identity(self):

@@ -9,6 +9,7 @@ from relufreq import (
     AliasingError,
     DatasetSpec,
     EmptyToneError,
+    LabeledSet,
     MultiTone,
     ProbeSpec,
     Signal,
@@ -227,6 +228,16 @@ class TestSampleDataset:
         spec = DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1e-9)
         with pytest.raises(ValueError, match="duration 1e-09 s at sample_rate 64.0 Hz"):
             sample_dataset(spec, 0)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.5, 2.5], [0.0, math.nan, 1.0], [0, -1, 1], [0, math.inf, 1]]
+    )
+    def test_labeled_set_takes_only_integer_labels_from_0(self, labels):
+        """Labels were cast with int(), so 0.5, 1.5, 2.5 trained as 0, 1, 2."""
+        ds = sample_dataset(DatasetSpec((3.0, 5.0, 10.0), 0.1, 1, 64.0, 1.0), 0)
+        assert LabeledSet(ds.inputs, ds.labels, ds.sample_rate).labels.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="labels must be integers >= 0"):
+            LabeledSet(ds.inputs, labels, ds.sample_rate)
 
 
 def box_muller_reference(spec, seed):

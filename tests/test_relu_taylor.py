@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from relufreq import (
     DegenerateInputError,
+    DivergenceError,
     MultiTone,
     Signal,
     TaylorConfig,
@@ -19,6 +20,7 @@ from relufreq import (
     mean_power,
     power_fluctuation,
     relu,
+    rrmse,
     spectrum,
     sqrt1p_series,
     sqrt_taylor_coefficients,
@@ -254,12 +256,40 @@ class TestApproximateRelu:
         assert report.max_abs_fluctuation == pytest.approx(7.0, abs=1e-9)
         assert report.fraction_violating > 0.0
 
-    def test_prescale_invariance(self):
-        a1, _ = approximate_relu(PROBE, 1024.0, 1.0, TaylorConfig(50, 1e-4))
-        a2, _ = approximate_relu(PROBE, 1024.0, 1.0, TaylorConfig(50, 1e-2))
-        scale = np.abs(a1.samples)
-        rel = np.abs(a1.samples - a2.samples) / np.maximum(scale, 1.0)
-        assert rel.max() < 1e-6
+    @pytest.mark.parametrize("terms, exponents", [(5, range(-300, 305)), (50, range(-300, 201))])
+    def test_error_and_report_do_not_depend_on_the_amplitude_scale(self, terms, exponents):
+        """Where the squares of the scaled amplitudes are not normal floats, u and
+        the series' DC term come from max-scaled amplitudes; a leaked warning fails."""
+
+        def error_and_report(scale):
+            tones = MultiTone(PROBE.frequencies, PROBE.amplitudes * scale)
+            approx, report = approximate_relu(tones, 1024.0, 1.0, TaylorConfig(terms))
+            return rrmse(relu(synthesize(tones, 1024.0, 1.0)), approx), report
+
+        error, report = error_and_report(1.0)
+        for exponent in exponents:
+            scaled_error, scaled_report = error_and_report(10.0**exponent)
+            assert scaled_error == pytest.approx(error, rel=1e-12)
+            assert scaled_report.max_abs_fluctuation == pytest.approx(
+                report.max_abs_fluctuation, rel=1e-12
+            )
+            assert scaled_report.fraction_violating == pytest.approx(
+                report.fraction_violating, abs=1e-12
+            )
+            assert scaled_report.valid == report.valid
+
+    def test_default_terms_diverge_from_amplitude_1e300(self):
+        for exponent in range(300, 309):
+            tones = MultiTone(PROBE.frequencies, PROBE.amplitudes * 10.0**exponent)
+            with pytest.raises(DivergenceError, match="50-term series is not finite"):
+                approximate_relu(tones, 1024.0, 1.0, TaylorConfig(50))
+
+    @pytest.mark.parametrize("amplitude", [1e-320, 1e-310])
+    def test_amplitude_below_the_normal_range_after_prescale_raises(self, amplitude):
+        """1e-320 * PRESCALE underflows to 0 and 1e-310 * PRESCALE is subnormal."""
+        with pytest.raises(ValueError, match=rf"amplitude {amplitude!r} times PRESCALE"):
+            approximate_relu(MultiTone([5.0], [amplitude]), 64.0, 1.0)
+        approximate_relu(MultiTone([5.0], [1e-300]), 64.0, 1.0)
 
     def test_output_spectrum_lines(self):
         # single tone at f: approximation holds energy only at DC, f, and
