@@ -298,8 +298,10 @@ def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[
 
 
 def _cmd_train_compare(args) -> Artifacts:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    flags = (("--reps", args.reps, 1), ("--epochs", args.epochs, 0), ("--seed", args.seed, 0))
+    for flag, value, low in flags:
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     report = run_comparison(args.reps, args.seed, epochs=args.epochs)
     results: Dict[str, object] = {}
     for name, net in report.nets.items():

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -523,7 +524,7 @@ SEED_DERIVATION = "PCG64(seed) integer matrix (reps, 7): data, init x3, shuffle 
 
 
 def _run_repetition(
-    seed_row: np.ndarray, spec: DatasetSpec, spec_dc: DatasetSpec, epochs: int, batch_size: int
+    spec: DatasetSpec, spec_dc: DatasetSpec, epochs: int, batch_size: int, seed_row: np.ndarray
 ) -> Dict[str, TrainingRecord]:
     """Train every variant of one repetition from its row of the seed matrix.
 
@@ -540,6 +541,13 @@ def _run_repetition(
     return records
 
 
+def _worker_count(n_repetitions: int) -> int:
+    """Processes run_comparison trains in: one per usable core and repetition; 1 without fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return min(n_repetitions, len(os.sched_getaffinity(0)))
+
+
 def run_comparison(
     n_repetitions: int,
     base_seed: int,
@@ -553,15 +561,35 @@ def run_comparison(
     base_seed (see SEED_DERIVATION), so repetitions are independent and the
     whole report is reproducible. Every variant trains with AdamHyper() and
     the DC variant's offsets are DEFAULT_DC_LEVELS.
+
+    Repetitions train in forked workers (see _worker_count), which start with
+    this process's modules as they are; one worker trains here, unforked. The
+    report stacks them in row order, so it does not depend on the worker count.
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     levels = dict(DEFAULT_DC_LEVELS)
     spec_dc = replace(spec, dc_map=levels)
     master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
-    reps = [_run_repetition(row, spec, spec_dc, epochs, batch_size) for row in seeds]
+    task = partial(_run_repetition, spec, spec_dc, epochs, batch_size)
+    workers = _worker_count(n_repetitions)
+    if workers == 1:
+        reps = list(map(task, seeds))
+    else:
+        # imported here so that importing the package does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            reps = list(pool.map(task, seeds))
+        finally:
+            pool.shutdown(cancel_futures=True)  # a failed rep cancels those not yet started
     nets = {}
     for name in VARIANTS:
         records = [rep[name] for rep in reps]

@@ -1,0 +1,23 @@
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from relufreq import trainer
+
+
+@pytest.fixture
+def sequential_repetitions():
+    """The reference for run_comparison: _run_repetition looped in this process over its seeds.
+
+    Returns a function of run_comparison's arguments that gives one
+    {variant name: TrainingRecord} dict per repetition, in row order.
+    """
+
+    def run(n_repetitions, base_seed, epochs, batch_size, spec):
+        master = np.random.Generator(np.random.PCG64(base_seed))
+        seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(trainer.VARIANTS)))
+        spec_dc = replace(spec, dc_map=dict(trainer.DEFAULT_DC_LEVELS))
+        return [trainer._run_repetition(spec, spec_dc, epochs, batch_size, row) for row in seeds]
+
+    return run

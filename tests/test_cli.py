@@ -1,9 +1,13 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -663,13 +667,7 @@ class TestTrainCompare:
         assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
         assert AdamHyper(**config["adam"]) == AdamHyper()
 
-    def test_divergence_exits_1_with_error_name(self, tmp_path, monkeypatch, capsys):
-        train = trainer.train
-
-        def diverging_train(net, trainset, epochs, batch_size, adam_hyper, seed):
-            return train(net, trainset, epochs, batch_size, AdamHyper(lr=1e305), seed)
-
-        monkeypatch.setattr(trainer, "train", diverging_train)
+    def test_divergence_exits_1_with_error_name(self, tmp_path, diverging_train, capsys):
         out = tmp_path / "dv"
         with np.errstate(over="ignore", invalid="ignore"):
             code = run(["train-compare", "--reps", "1", "--epochs", "1", "--out", str(out)])
@@ -678,6 +676,42 @@ class TestTrainCompare:
         assert "error: DivergenceError" in err
         assert "epoch 1, batch 2" in err
         assert not list(out.glob("*.csv"))
+
+    def test_divergence_in_a_worker_exits_1_and_leaves_no_process(
+        self, tmp_path, diverging_train, monkeypatch, capsys
+    ):
+        """The forked workers inherit the patched train; the parent reports their error."""
+        monkeypatch.setattr(trainer, "_worker_count", lambda n: min(n, 2))
+        out = tmp_path / "dvw"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train-compare", "--reps", "2", "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: DivergenceError" in err
+        assert "epoch 1, batch 2" in err
+        assert not list(out.glob("*.csv"))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--reps", "0", "--reps must be >= 1, got 0"),
+            ("--epochs", "-1", "--epochs must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_count_names_the_flag_before_any_work(
+        self, flag, value, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for an invalid flag")
+
+        monkeypatch.setattr(trainer, "sample_dataset", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        flags = {"--reps": "2", "--epochs": "1", flag: value, "--out": str(tmp_path / "bad")}
+        assert run(["train-compare", *[x for kv in flags.items() for x in kv]]) == 1
+        assert f"error: ValueError: {message}" in capsys.readouterr().err
+        assert not list((tmp_path / "bad").glob("*.csv"))
+        assert multiprocessing.active_children() == []
 
     def test_zero_epochs_report_no_final_loss(self, tmp_path):
         out = tmp_path / "e0"
@@ -730,23 +764,37 @@ class TestZeroTrain:
         assert config["kernel_taps"] == [0.6, 0.4]
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, monkeypatch):
-    """Each row's median and quartiles equal numpy's on that cell's per-repetition values."""
-    records = []
+@pytest.fixture
+def diverging_train(monkeypatch):
+    """trainer.train at lr=1e305, so the loss leaves the float range at epoch 1, batch 2."""
     train = trainer.train
 
-    def recording_train(*args):
-        records.append(train(*args))
-        return records[-1]
+    def diverging(net, trainset, epochs, batch_size, adam_hyper, seed):
+        return train(net, trainset, epochs, batch_size, AdamHyper(lr=1e305), seed)
 
-    monkeypatch.setattr(trainer, "train", recording_train)
+    monkeypatch.setattr(trainer, "train", diverging)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The worker-pool modules load when run_comparison forks, not with the package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, relufreq.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, sequential_repetitions):
+    """Each row's median and quartiles equal numpy's on that cell's per-repetition values."""
     spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 8, 64.0, 1.0)
     epochs = 2
     report = run_comparison(3, seed, epochs=epochs, batch_size=8, dataset_spec=spec)
-    names = list(report.nets)
-    # run_comparison trains every variant of a repetition before the next repetition
-    by_net = {name: records[i :: len(names)] for i, name in enumerate(names)}
+    reps = sequential_repetitions(3, seed, epochs, 8, spec)
+    by_net = {name: [rep[name] for rep in reps] for name in report.nets}
 
     def cell(values):
         return (np.median(values), np.quantile(values, 0.25), np.quantile(values, 0.75))

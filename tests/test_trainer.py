@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -879,21 +882,13 @@ class TestRunComparison:
             run_comparison(1, 0, epochs=-1)
 
     @pytest.mark.parametrize("epochs", [0, 2])
-    def test_stacked_finals_equal_the_per_repetition_records(self, epochs, monkeypatch):
+    def test_stacked_finals_equal_the_per_repetition_records(self, epochs, sequential_repetitions):
         """Row r of a stacked record's finals is repetition r's own record's finals."""
-        records = []
-        train_one = trainer.train
-
-        def recording_train(*args):
-            records.append(train_one(*args))
-            return records[-1]
-
-        monkeypatch.setattr(trainer, "train", recording_train)
         spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
         report = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
-        for i, (name, net) in enumerate(report.nets.items()):
-            # every variant of a repetition trains before the next repetition
-            recs = records[i :: len(report.nets)]
+        reps = sequential_repetitions(3, 4, epochs, 4, spec)
+        for name, net in report.nets.items():
+            recs = [rep[name] for rep in reps]
             assert len(recs) == 3
             assert net.final_losses.tolist() == [x for r in recs for x in r.final_losses]
             for row, rec in enumerate(recs):
@@ -909,6 +904,81 @@ class TestRunComparison:
             assert np.array_equal(
                 a.nets[name].final_conv_distances, b.nets[name].final_conv_distances
             )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0), "n_repetitions must be >= 1"),
+            ((1, 0, -1), "epochs must be >= 0"),
+            ((2, 0, 1, 0), "batch_size must be >= 1"),
+        ],
+    )
+    def test_bad_counts_fail_before_any_work(self, args, message, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for an invalid count")
+
+        monkeypatch.setattr(trainer, "sample_dataset", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        with pytest.raises(ValueError, match=message):
+            run_comparison(*args)
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_pooled_repetitions_equal_the_sequential_reference(
+        self, epochs, monkeypatch, sequential_repetitions
+    ):
+        """Two forked workers, one of them training two rows, give the in-process loop's bits."""
+        pools = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        def recording_executor(workers, **kwargs):
+            pools.append(workers)
+            return executor(workers, **kwargs)
+
+        # two workers even on a one-core machine, and never more
+        monkeypatch.setattr(trainer, "_worker_count", lambda n: min(n, 2))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
+        spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
+        report = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert_same_bits(report, sequential_repetitions(3, 4, epochs, 4, spec))
+
+    def test_one_worker_trains_in_this_process(self, monkeypatch, sequential_repetitions):
+        """With one worker, as on a one-core machine, no pool is made and nothing forks."""
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(trainer, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
+        spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
+        report = run_comparison(3, 4, epochs=2, batch_size=4, dataset_spec=spec)
+        assert_same_bits(report, sequential_repetitions(3, 4, 2, 4, spec))
+
+
+def assert_same_bits(report, reps):
+    """Every stacked curve and final accuracy has the bits of the per-repetition records."""
+    for name, net in report.nets.items():
+        records = [rep[name] for rep in reps]
+        pairs = [(net.curves[c], np.stack([r.curves[c] for r in records])) for c in net.curves]
+        pairs.append((net.final_accuracy, np.array([r.final_accuracy for r in records])))
+        assert net.curves.keys() == records[0].curves.keys()
+        for got, want in pairs:
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_worker_count_is_usable_cores_capped_at_the_repetitions(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert [trainer._worker_count(n) for n in (1, 3, 4, 100)] == [1, 3, 4, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert trainer._worker_count(100) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert trainer._worker_count(100) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert trainer._worker_count(100) == 1
 
 
 def test_first_conv_relu_activation_of_cosines_has_positive_mean():
