@@ -65,15 +65,25 @@ def _norm(values: np.ndarray) -> float:
 def rrmse(reference: Signal, estimate: Signal) -> float:
     """Relative root mean squared error: ||estimate - reference||_2 / ||reference||_2.
 
-    Norms whose squares overflow or underflow are computed max-scaled, so
-    the result does not depend on the samples' scale.
+    Norms whose squares overflow or underflow are computed max-scaled. Where
+    the error still comes out inf, both signals are divided by one shared
+    power of two, exact save for values far below the largest, and the
+    ratio is taken again, so the result does not depend on the samples' scale.
     """
     if len(reference) != len(estimate):
         raise ValueError("reference and estimate must have equal length")
-    ref_norm = _norm(reference.samples)
+    ref, est = reference.samples, estimate.samples
+    ref_norm = _norm(ref)
     if ref_norm == 0.0:
         raise ZeroReferenceError("reference signal has zero norm")
-    return _norm(estimate.samples - reference.samples) / ref_norm
+    with np.errstate(over="ignore"):
+        error = _norm(est - ref) / ref_norm
+    if math.isinf(error) and np.isfinite(est).all():
+        shift = 1 - math.frexp(max(np.abs(ref).max(), np.abs(est).max()))[1]
+        ref, est = np.ldexp(ref, shift), np.ldexp(est, shift)
+        ref_norm = _norm(ref)  # 0 only where the ratio is beyond the float range
+        error = _norm(est - ref) / ref_norm if ref_norm > 0.0 else error
+    return error
 
 
 def band_occupancy(spec: Spectrum, threshold_fraction: float) -> float:

@@ -191,66 +191,47 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     artifacts rests: out[b, o, l] = ((t_0 + t_1) + ...) + t_{K-1}, taps added
     in index order, where t_n = sum_c w[o, c, n] x[b, c, l - n] carries the
     bits of the matching entry of one stacked (K*O, C) @ (C, B*L) matmul (see
-    _tap_sum). Taps that reach before the row start add an exact zero,
-    which the bias add in forward() makes identical to adding nothing. The
-    bits also assume that BLAS runs the same kernel for the per-tap product
-    as for the stacked one; OpenBLAS picks its dgemm kernel by problem size.
+    _shifted_products). Taps that reach before the row start add an exact
+    zero, which the bias add in forward() makes identical to adding nothing.
+    The bits also assume that BLAS runs the same kernel for the per-tap
+    product as for the stacked one; OpenBLAS picks its dgemm kernel by size.
     """
-    o, c, k = w.shape
-    b, _, length = x.shape
-    padded = length + k - 1
-    # K-1 leading zeros per row turn tap n's shift into one contiguous add
-    xp = np.empty((c, b, padded))
-    xp[:, :, : k - 1] = 0.0
-    xp[:, :, k - 1 :] = x.transpose(1, 0, 2)
-    out = _tap_sum(w.transpose(2, 0, 1), xp.reshape(c, b * padded), advance=False)
-    return out.reshape(o, b, padded)[:, :, k - 1 :].transpose(1, 0, 2)
+    out = _shifted_products(w.transpose(2, 0, 1), x.transpose(1, 0, 2), advance=False)
+    return out.transpose(1, 0, 2)
 
 
-def _tap_sum(taps: np.ndarray, x: np.ndarray, advance: bool) -> np.ndarray:
-    """taps (K, R, I), x (I, N) -> (R, N) sum of the products p_n = taps[n] @ x, shifted.
+def _shifted_products(taps: np.ndarray, x: np.ndarray, advance: bool) -> np.ndarray:
+    """taps (K, R, I), x (I, B, L) -> (R, B, L) sum of the products p_n = taps[n] @ x, shifted.
 
-    Column j adds p_n[:, j - n], or p_n[:, j + n] when advance, for every n
-    that stays inside the N columns, in index order from tap 0. Each product
-    has the bits of its rows of the stacked (K*R, I) @ (I, N) matmul: for an
-    inner length of 1 numpy computes that matmul in its own loop as
-    0.0 + w * x, and a single-row product would go to gemv, which sums in
-    another order than gemm, so single-row taps stay stacked. Unstacked
-    products of taps 1..K-1 are written into one reused buffer.
+    Each row is laid out with K-1 zeros before it, or after it when advance,
+    so that tap n is one contiguous add: column l adds p_n[..., l - n], or
+    p_n[..., l + n] when advance, in index order from tap 0. Each product has
+    the bits of its rows of the stacked (K*R, I) @ (I, B*L) matmul. For an
+    inner length of 1 numpy computes that matmul in its own slow loop as
+    0.0 + w * x; a zero partner channel lets BLAS compute w * x + 0 * 0,
+    which has the same bits in any summation order. A single-row product
+    would go to gemv, which sums in another order than gemm, so single-row
+    taps stay stacked; the other products of taps 1..K-1 share one buffer.
     """
     k, rows, inner = taps.shape
-    n_cols = x.shape[1]
-
-    def columns(n: int) -> Tuple[slice, slice]:
-        """(columns of the sum that tap n adds to, columns of p_n they read)."""
-        head, tail = slice(0, n_cols - n), slice(n, n_cols)
-        return (head, tail) if advance else (tail, head)
-
-    if inner == 1:
-        out = taps[0] * x
-        # after this the running sum is never -0.0, so adding p_n instead of
-        # 0.0 + p_n for the later taps changes no bit
-        out += 0.0
-        buf = np.empty_like(out)
-        for n in range(1, k):
-            dst, src = columns(n)
-            # only the columns the add reads; a row-strided output is also
-            # the faster one for this broadcast product
-            out[:, dst] += np.multiply(taps[n], x[:, src], out=buf[:, dst])
-    elif rows == 1:
-        stacked = taps.reshape(k, inner) @ x
-        out = stacked[:1]
-        for n in range(1, k):
-            dst, src = columns(n)
-            out[:, dst] += stacked[n : n + 1, src]
+    _, b, length = x.shape
+    channels, padded = max(inner, 2), length + k - 1
+    data = slice(0, length) if advance else slice(k - 1, padded)
+    lhs = np.zeros((k, rows, channels))
+    lhs[:, :, :inner] = taps
+    rhs = np.zeros((channels, b, padded))
+    rhs[:inner, :, data] = x
+    rhs = rhs.reshape(channels, b * padded)
+    if rows == 1:
+        stacked = lhs.reshape(k, channels) @ rhs
+        out, products = stacked[:1], (stacked[n : n + 1] for n in range(1, k))
     else:
-        taps = np.ascontiguousarray(taps)
-        out = taps[0] @ x
-        buf = np.empty_like(out)
-        for n in range(1, k):
-            dst, src = columns(n)
-            out[:, dst] += np.matmul(taps[n], x, out=buf)[:, src]
-    return out
+        out, buf = lhs[0] @ rhs, np.empty((rows, b * padded))
+        products = (np.matmul(lhs[n], rhs, out=buf) for n in range(1, k))
+    for n, product in enumerate(products, 1):
+        dst, src = (slice(0, -n), slice(n, None)) if advance else (slice(n, None), slice(0, -n))
+        out[:, dst] += product[:, src]
+    return out.reshape(rows, b, padded)[:, :, data]
 
 
 def _conv_weight_grad(x: np.ndarray, dout: np.ndarray, kernel_size: int) -> np.ndarray:
@@ -274,19 +255,12 @@ def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Gradient of the causal convolution w.r.t. its (B, C, L) input.
 
     dx[b, c, m] = sum_n sum_o w[o, c, n] dout[b, o, m + n], taps added in
-    index order as in _conv_forward; K-1 trailing zeros per row make each
-    tap one contiguous add. The result is laid out (C, B, L) in memory.
+    index order as in _conv_forward. The result is laid out (C, B, L) in memory.
     """
-    o, c, k = w.shape
-    b, _, length = dout.shape
-    padded = length + k - 1
-    dp = np.empty((o, b, padded))
-    dp[:, :, length:] = 0.0
-    dp[:, :, :length] = dout.transpose(1, 0, 2)
-    dx = _tap_sum(w.transpose(2, 1, 0), dp.reshape(o, b * padded), advance=True)
+    dx = _shifted_products(w.transpose(2, 1, 0), dout.transpose(1, 0, 2), advance=True)
     # copied out contiguous: numpy sums a strided array in another order, and
     # backward() sums this one for the bias gradient of a linear conv layer
-    return np.ascontiguousarray(dx.reshape(c, b, padded)[:, :, :length]).transpose(1, 0, 2)
+    return np.ascontiguousarray(dx).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +582,9 @@ def run_comparison(
 # zero-training classifier
 
 # Per-sample DCs are computed over row slices of about this many samples
-# (32 rows of 2048), so each conv temporary stays near 0.5 MB.
-_DC_SLICE_SAMPLES = 2**16
+# (16 rows of 2048), so each conv temporary, the zero partner channel's
+# padded input included, stays near 0.5 MB.
+_DC_SLICE_SAMPLES = 2**15
 
 
 def zero_train_eval(

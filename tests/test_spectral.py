@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,14 @@ class TestRrmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rrmse(Signal(np.ones(4), 8.0), Signal(np.ones(5), 8.0))
+
+    def test_opposite_extremes_give_a_finite_ratio_without_a_warning(self):
+        """The difference overflows, but the ratio of the norms is exactly 2."""
+        ref = Signal(np.array([1e308, -1e308, 1e308]), 1.0)
+        est = Signal(-ref.samples, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rrmse(ref, est) == 2.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.01, 100.0), st.integers(0, 2**31 - 1))

@@ -285,20 +285,23 @@ def test_conv_kernels_equal_the_stacked_reference_on_training_shapes(batch, in_c
 
 @pytest.mark.parametrize("seed", range(8))
 def test_single_channel_conv_paths_keep_signed_zeros(seed):
-    """The broadcast-product paths equal the stacked reference bit for bit, signed zeros too.
+    """The single-channel paths equal the stacked reference bit for bit, signed zeros too.
 
     Forward with one input channel and the input gradient with one filter
-    multiply instead of calling BLAS. Many products here are -0.0, and only
+    give that channel a zero partner, so BLAS computes each product as
+    w * x + 0 * 0; one filter over one channel, zero-train's shape, takes
+    the stacked product of its taps. Many products here are -0.0, and only
     the bits tell whether each sum starts from 0.0 + tap 0 as the reference's
-    matmul does. The BLAS paths are not held to this: they add the causal
-    padding's +0.0 products where the reference adds nothing, which turns a
-    -0.0 sum into +0.0.
+    matmul does. Paths with more channels are not held to this: they add the
+    causal padding's +0.0 products where the reference adds nothing, which
+    turns a -0.0 sum into +0.0.
     """
     rng = np.random.default_rng(seed)
     values = np.array([-0.0, 0.0, -0.0, 0.0, -1.0, 1.0, -5e-324, 5e-324, 0.5])
-    x = rng.choice(values, (5, 1, 12))
-    w = rng.choice(values, (3, 1, 4))
-    assert_bitwise_equal(_conv_forward(x, w), stacked_conv_forward(x, w))
+    for filters in (3, 1):
+        x = rng.choice(values, (5, 1, 12))
+        w = rng.choice(values, (filters, 1, 4))
+        assert_bitwise_equal(_conv_forward(x, w), stacked_conv_forward(x, w))
     w = rng.choice(values, (1, 3, 4))
     dout = rng.choice(values, (5, 1, 12))
     _, dx = stacked_conv_backward(np.zeros((5, 3, 12)), w, dout)
