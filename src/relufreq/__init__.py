@@ -57,7 +57,6 @@ from .convnets import (
     run_prototype,
 )
 from .trainer import (
-    AdamHyper,
     AdamState,
     Architecture,
     ComparisonReport,

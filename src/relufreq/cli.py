@@ -25,7 +25,14 @@ from .errors import ReluFreqError
 from .multitone import DatasetSpec, ProbeSpec, _check_below_nyquist, sample_dataset
 from .relu_taylor import PRESCALE, TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
-from .trainer import SEED_DERIVATION, ComparisonReport, run_comparison, zero_train_eval
+from .trainer import (
+    ADAM,
+    DEFAULT_DC_LEVELS,
+    SEED_DERIVATION,
+    ComparisonReport,
+    run_comparison,
+    zero_train_eval,
+)
 
 PRNG_ID = "numpy PCG64; normals via Box-Muller over two uniform draws"
 RRMSE_DEFINITION = "l2_norm(estimate - reference) / l2_norm(reference)"
@@ -316,10 +323,10 @@ def _cmd_train_compare(args) -> Artifacts:
             "repetitions": report.n_repetitions,
             "epochs": report.epochs,
             "batch_size": report.batch_size,
-            "adam": report.adam_hyper,
+            "adam": ADAM,
             "architectures": report.architectures,
             "dataset": report.dataset_spec,
-            "dc_levels": report.dc_levels,
+            "dc_levels": DEFAULT_DC_LEVELS,
             "networks": list(report.nets),
             "seed_derivation": SEED_DERIVATION,
             "prng": PRNG_ID,

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .multitone import Signal
+from .multitone import Signal, _store_sizes
 from .relu_taylor import relu
 
 DIFFERENTIATOR = "differentiator"
@@ -41,8 +41,7 @@ class PrototypeStack:
     def __post_init__(self) -> None:
         if self.kind not in (DIFFERENTIATOR, MOVING_AVERAGE):
             raise ValueError(f"unknown stack kind {self.kind!r}")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        _store_sizes(self, depth=1)
 
 
 def make_prototype_stack(

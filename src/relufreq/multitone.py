@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -15,6 +16,15 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _store_sizes(spec, **minimums: int) -> None:
+    """Store each named size as an int >= its minimum; numpy integers pass, 2.0 and "3" do not."""
+    for name, low in minimums.items():
+        value = getattr(spec, name)
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        object.__setattr__(spec, name, operator.index(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +118,7 @@ class DatasetSpec:
         nyquist = self.sample_rate / 2.0
         if any(m + 3.0 * self.freq_std >= nyquist for m in means):
             raise ValueError("class means within 3 sigma of Nyquist; reduce means or raise sample_rate")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
+        _store_sizes(self, samples_per_class=1)
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
 

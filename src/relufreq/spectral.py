@@ -96,10 +96,8 @@ def band_occupancy(spec: Spectrum, threshold_fraction: float) -> float:
         raise ValueError("threshold_fraction must lie strictly between 0 and 1")
     half = len(spec) // 2
     mags = np.abs(spec.bins[1 : half + 1])
-    if mags.size == 0:
-        return 0.0
-    peak = float(mags.max())
-    if peak == 0.0:
+    peak = float(mags.max(initial=0.0))
+    if peak == 0.0:  # no bins in range, or all of them zero
         return 0.0
     return float(np.count_nonzero(mags > threshold_fraction * peak) / mags.size)
 
@@ -110,8 +108,10 @@ def energy_fraction_above(spec: Spectrum, cutoff_hz: float) -> float:
     Uses the folded (absolute) frequency of every bin, so conjugate pairs
     count on both sides and the ratio is exact under Parseval. Where the
     energy sum is not a normal finite number, the magnitudes are divided by
-    the largest of them before squaring.
+    the largest of them before squaring. A NaN cutoff_hz raises ValueError.
     """
+    if math.isnan(cutoff_hz):
+        raise ValueError("cutoff_hz must not be NaN")
     n = len(spec)
     k = np.arange(n)
     folded = np.minimum(k, n - k) * spec.bin_resolution

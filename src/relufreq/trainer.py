@@ -10,7 +10,6 @@ All operations are pure functions of their inputs and seeds.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -20,19 +19,10 @@ import numpy as np
 
 from .convnets import Kernel, fir_response
 from .errors import DegenerateInputError, DivergenceError
-from .multitone import DatasetSpec, LabeledSet, sample_dataset
+from .multitone import DatasetSpec, LabeledSet, _store_sizes, sample_dataset
 
 RELU = "relu"
 LINEAR = "linear"
-
-
-def _store_sizes(spec, **minimums: int) -> None:
-    """Store each named size as an int >= its minimum; numpy integers pass, 2.0 and "3" do not."""
-    for name, low in minimums.items():
-        value = getattr(spec, name)
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(spec, name, operator.index(value))
 
 
 @dataclass(frozen=True)
@@ -103,18 +93,8 @@ class Network:
     theta: np.ndarray
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not all(math.isfinite(x) and x > 0 for x in (self.lr, self.epsilon)):
-            raise ValueError("lr and epsilon must be finite and > 0")
+# The one Adam setting every network trains with (Kingma & Ba's defaults).
+ADAM = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
 
 
 @dataclass
@@ -122,7 +102,6 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int
-    hyper: AdamHyper
 
 
 @dataclass
@@ -153,14 +132,12 @@ class TrainingRecord:
 
 @dataclass
 class ComparisonReport:
-    """Each variant's records stacked over repetitions, plus every setting they ran with."""
+    """Each variant's records stacked over repetitions, plus its counts, dataset and networks."""
 
     n_repetitions: int
     epochs: int
     batch_size: int
-    adam_hyper: AdamHyper
     dataset_spec: DatasetSpec
-    dc_levels: Dict[int, float]
     architectures: Dict[str, Architecture]
     nets: Dict[str, TrainingRecord]
 
@@ -381,22 +358,21 @@ def _check_same_shape(what: str, first: np.ndarray, *others: np.ndarray) -> None
         raise ValueError(f"{what}: shape mismatch")
 
 
-def init_adam_state(theta: np.ndarray, hyper: AdamHyper = AdamHyper()) -> AdamState:
-    return AdamState(np.zeros_like(theta), np.zeros_like(theta), 0, hyper)
+def init_adam_state(theta: np.ndarray) -> AdamState:
+    return AdamState(np.zeros_like(theta), np.zeros_like(theta), 0)
 
 
 def adam_step(
     state: AdamState, theta: np.ndarray, grad: np.ndarray
 ) -> Tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns the new state and parameter vector."""
+    """One bias-corrected Adam update with the settings ADAM holds when it is called."""
     _check_same_shape("adam_step", theta, grad, state.first_moment, state.second_moment)
     t = state.step_count + 1
-    hyper = state.hyper
-    b1, b2 = hyper.beta1, hyper.beta2
+    b1, b2 = ADAM["beta1"], ADAM["beta2"]
     m = b1 * state.first_moment + (1.0 - b1) * grad
     v = b2 * state.second_moment + (1.0 - b2) * grad * grad
-    step = hyper.lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + hyper.epsilon)
-    return AdamState(m, v, t, hyper), theta - step
+    step = ADAM["lr"] * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM["epsilon"])
+    return AdamState(m, v, t), theta - step
 
 
 def weight_distance(arch: Architecture, theta0: np.ndarray, theta1: np.ndarray) -> List[float]:
@@ -411,7 +387,6 @@ def train(
     trainset: LabeledSet,
     epochs: int,
     batch_size: int,
-    adam_hyper: AdamHyper = AdamHyper(),
     seed: int = 0,
 ) -> TrainingRecord:
     """Seeded shuffled mini-batch training; records loss and distance curves.
@@ -437,7 +412,7 @@ def train(
     n_conv = len(arch.conv_layers)
     theta0 = net.theta.copy()
     curves = {"loss": np.empty(epochs), "distance": np.zeros((n_conv, epochs + 1))}
-    state = init_adam_state(net.theta, adam_hyper)
+    state = init_adam_state(net.theta)
     current = net
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(y.size)
@@ -511,7 +486,7 @@ def _run_repetition(
     for i, (name, (activation, use_dc)) in enumerate(VARIANTS.items()):
         net = init_network(_comparison_architecture(activation, spec), int(seed_row[1 + i]))
         shuffle_seed = int(seed_row[1 + len(VARIANTS) + i])
-        records[name] = train(net, datasets[use_dc], epochs, batch_size, AdamHyper(), shuffle_seed)
+        records[name] = train(net, datasets[use_dc], epochs, batch_size, shuffle_seed)
     return records
 
 
@@ -533,8 +508,8 @@ def run_comparison(
 
     Seeds for data, inits, and shuffles derive from one PCG64 stream over
     base_seed (see SEED_DERIVATION), so repetitions are independent and the
-    whole report is reproducible. Every variant trains with AdamHyper() and
-    the DC variant's offsets are DEFAULT_DC_LEVELS.
+    whole report is reproducible. Every variant trains with the Adam settings
+    ADAM, and the DC variant's offsets are DEFAULT_DC_LEVELS.
 
     Repetitions train in forked workers (see _worker_count), which start with
     this process's modules as they are; one worker trains here, unforked. The
@@ -547,8 +522,7 @@ def run_comparison(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
-    levels = dict(DEFAULT_DC_LEVELS)
-    spec_dc = replace(spec, dc_map=levels)
+    spec_dc = replace(spec, dc_map=dict(DEFAULT_DC_LEVELS))
     master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
     task = partial(_run_repetition, spec, spec_dc, epochs, batch_size)
@@ -573,9 +547,7 @@ def run_comparison(
         name: _comparison_architecture(activation, spec)
         for name, (activation, _) in VARIANTS.items()
     }
-    return ComparisonReport(
-        n_repetitions, epochs, batch_size, AdamHyper(), spec, levels, architectures, nets
-    )
+    return ComparisonReport(n_repetitions, epochs, batch_size, spec, architectures, nets)
 
 
 # ---------------------------------------------------------------------------

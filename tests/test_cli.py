@@ -24,13 +24,7 @@ from relufreq.cli import RunManifest, _curve_table, emit_csv, emit_manifest, run
 from relufreq.multitone import DatasetSpec, ProbeSpec
 from relufreq.relu_taylor import TaylorConfig
 from relufreq.spectral import spectrum
-from relufreq.trainer import (
-    AdamHyper,
-    Architecture,
-    ConvLayerSpec,
-    default_dataset_spec,
-    run_comparison,
-)
+from relufreq.trainer import Architecture, ConvLayerSpec, default_dataset_spec, run_comparison
 
 
 def read(path):
@@ -665,7 +659,8 @@ class TestTrainCompare:
         keys = {"conv_layers", "hidden_units", "n_classes", "input_length"}
         assert all(set(config["architectures"][name]) == keys for name in config["networks"])
         assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
-        assert AdamHyper(**config["adam"]) == AdamHyper()
+        assert config["adam"] == {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-08}
+        assert config["dc_levels"] == {"0": 1.0, "1": 2.0, "2": 3.0}
 
     def test_divergence_exits_1_with_error_name(self, tmp_path, diverging_train, capsys):
         out = tmp_path / "dv"
@@ -680,7 +675,7 @@ class TestTrainCompare:
     def test_divergence_in_a_worker_exits_1_and_leaves_no_process(
         self, tmp_path, diverging_train, monkeypatch, capsys
     ):
-        """The forked workers inherit the patched train; the parent reports their error."""
+        """The forked workers inherit the patched ADAM; the parent reports their error."""
         monkeypatch.setattr(trainer, "_worker_count", lambda n: min(n, 2))
         out = tmp_path / "dvw"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -766,13 +761,8 @@ class TestZeroTrain:
 
 @pytest.fixture
 def diverging_train(monkeypatch):
-    """trainer.train at lr=1e305, so the loss leaves the float range at epoch 1, batch 2."""
-    train = trainer.train
-
-    def diverging(net, trainset, epochs, batch_size, adam_hyper, seed):
-        return train(net, trainset, epochs, batch_size, AdamHyper(lr=1e305), seed)
-
-    monkeypatch.setattr(trainer, "train", diverging)
+    """Adam at lr=1e305, so every training loss leaves the float range at epoch 1, batch 2."""
+    monkeypatch.setitem(trainer.ADAM, "lr", 1e305)
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -172,3 +172,12 @@ class TestRunPrototype:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             make_prototype_stack("boxcar", depth=2)
+
+    @pytest.mark.parametrize("depth", [2.5, 2.0, "3", 0])
+    def test_depth_must_be_an_integer_from_1(self, depth):
+        with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+            make_prototype_stack("differentiator", depth=depth)
+
+    def test_numpy_integer_depth_is_stored_as_int(self):
+        stack = make_prototype_stack("differentiator", depth=np.int64(3))
+        assert type(stack.depth) is int and stack.depth == 3

@@ -188,6 +188,15 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             DatasetSpec((3.0, 31.9), 0.1, 10, 64.0, 1.0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", 0])
+    def test_samples_per_class_must_be_an_integer_from_1(self, value):
+        with pytest.raises(ValueError, match="samples_per_class must be an integer >= 1"):
+            DatasetSpec((3.0, 5.0), 0.1, value, 64.0, 1.0)
+
+    def test_numpy_integer_samples_per_class_is_stored_as_int(self):
+        spec = DatasetSpec((3.0, 5.0), 0.1, np.int64(3), 64.0, 1.0)
+        assert type(spec.samples_per_class) is int and spec.samples_per_class == 3
+
 
 class TestSampleDataset:
     spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 20, 64.0, 1.0)

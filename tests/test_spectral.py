@@ -206,6 +206,9 @@ class TestBandOccupancy:
     def test_zero_signal(self):
         assert band_occupancy(spectrum(Signal(np.zeros(16), 16.0)), 0.5) == 0.0
 
+    def test_one_sample_has_no_bin_in_the_band(self):
+        assert band_occupancy(spectrum(Signal(np.ones(1), 16.0)), 0.5) == 0.0
+
     def test_threshold_validation(self):
         spec = spectrum(Signal(np.ones(16), 16.0))
         for bad in (0.0, 1.0, -0.2, 2.0):
@@ -218,6 +221,11 @@ def test_energy_fraction_above():
     spec = spectrum(synthesize(tones, 64.0, 1.0))
     assert energy_fraction_above(spec, 10.0) == pytest.approx(0.5, abs=1e-9)
     assert energy_fraction_above(spec, 30.0) == pytest.approx(0.0, abs=1e-12)
+    # no bin lies above an infinite cutoff, every bin above a negative one
+    assert energy_fraction_above(spec, math.inf) == 0.0
+    assert energy_fraction_above(spec, -1.0) == 1.0
+    with pytest.raises(ValueError, match="cutoff_hz must not be NaN"):
+        energy_fraction_above(spec, math.nan)
 
 
 def test_energy_fraction_above_is_scale_invariant():
