@@ -59,7 +59,6 @@ from .convnets import (
 from .trainer import (
     AdamState,
     Architecture,
-    ComparisonReport,
     ConvLayerSpec,
     Network,
     TrainingRecord,

@@ -27,9 +27,13 @@ from .relu_taylor import PRESCALE, TaylorConfig, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
 from .trainer import (
     ADAM,
+    BATCH_SIZE,
     DEFAULT_DC_LEVELS,
     SEED_DERIVATION,
-    ComparisonReport,
+    VARIANTS,
+    TrainingRecord,
+    _comparison_architecture,
+    default_dataset_spec,
     run_comparison,
     zero_train_eval,
 )
@@ -284,7 +288,9 @@ def _quartiles(stacked: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.median(stacked, axis=0), q25, q75
 
 
-def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[np.ndarray]]:
+def _curve_table(
+    nets: Dict[str, TrainingRecord], epochs: int, curve: str
+) -> Tuple[List[str], List[np.ndarray]]:
     """Long-format (header, columns) of one named curve: epoch, net, [layer], median, q25, q75.
 
     A curve's epoch axis is last and ends at epoch E, so it starts at E + 1 -
@@ -292,12 +298,12 @@ def _curve_table(report: ComparisonReport, curve: str) -> Tuple[List[str], List[
     (per-layer) axis becomes a 0-based layer column; rows run net, layer, epoch.
     """
     parts = []
-    for name, net in report.nets.items():
+    for name, net in nets.items():
         stats = _quartiles(net.curves[curve])
         shape = stats[0].shape
         # row-major cell indices: the layer axes, then the epoch axis
         *layers, epoch = np.indices(shape).reshape(len(shape), -1)
-        epoch += report.epochs + 1 - shape[-1]
+        epoch += epochs + 1 - shape[-1]
         names = np.repeat(name, epoch.size)
         parts.append([epoch, names, *layers, *(stat.ravel() for stat in stats)])
     columns = [np.concatenate(column) for column in zip(*parts)]
@@ -309,9 +315,11 @@ def _cmd_train_compare(args) -> Artifacts:
     for flag, value, low in flags:
         if value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
-    report = run_comparison(args.reps, args.seed, epochs=args.epochs)
+    spec = default_dataset_spec()
+    nets = run_comparison(args.reps, args.seed, epochs=args.epochs, dataset_spec=spec)
+    archs = {name: _comparison_architecture(act, spec) for name, (act, _) in VARIANTS.items()}
     results: Dict[str, object] = {}
-    for name, net in report.nets.items():
+    for name, net in nets.items():
         results[name] = {
             "median_final_conv_distance": float(np.median(net.final_conv_distances)),
             "median_final_accuracy": float(np.median(net.final_accuracy)),
@@ -320,20 +328,20 @@ def _cmd_train_compare(args) -> Artifacts:
             results[name]["median_final_loss"] = float(np.median(net.final_losses))
     return Artifacts(
         config={
-            "repetitions": report.n_repetitions,
-            "epochs": report.epochs,
-            "batch_size": report.batch_size,
+            "repetitions": args.reps,
+            "epochs": args.epochs,
+            "batch_size": BATCH_SIZE,
             "adam": ADAM,
-            "architectures": report.architectures,
-            "dataset": report.dataset_spec,
+            "architectures": archs,
+            "dataset": spec,
             "dc_levels": DEFAULT_DC_LEVELS,
-            "networks": list(report.nets),
+            "networks": list(nets),
             "seed_derivation": SEED_DERIVATION,
             "prng": PRNG_ID,
         },
         results=results,
         tables={
-            name: _curve_table(report, curve)
+            name: _curve_table(nets, args.epochs, curve)
             for name, curve in (("loss_curves.csv", "loss"), ("distance_curves.csv", "distance"))
         },
         seed=args.seed,

@@ -15,21 +15,23 @@ DIFFERENTIATOR = "differentiator"
 MOVING_AVERAGE = "moving_average"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel:
-    """FIR taps w_0 .. w_M applied by causal convolution."""
+    """FIR taps w_0 .. w_M applied by causal convolution, held as a read-only copy."""
 
     taps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=float)
-        if self.taps.ndim != 1 or self.taps.size == 0:
+        taps = np.array(self.taps, dtype=float)
+        if taps.ndim != 1 or taps.size == 0:
             raise ValueError("kernel taps must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError(f"kernel taps must be finite, got {self.taps}")
+        if not np.all(np.isfinite(taps)):
+            raise ValueError(f"kernel taps must be finite, got {taps}")
+        taps.setflags(write=False)
+        object.__setattr__(self, "taps", taps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrototypeStack:
     """Repeated conv + ReLU layers sharing one kernel, with optional pooling."""
 

@@ -90,7 +90,7 @@ class DatasetSpec:
 
     Each sample of class ``c`` is cos(2*pi*f*t) with f drawn from a normal
     distribution centered on ``class_means[c]``; ``dc_map`` optionally adds a
-    per-class constant offset to every sample of the signal.
+    constant offset to every sample of class ``c``, keyed by every class 0..n-1.
     """
 
     class_means: tuple
@@ -111,6 +111,11 @@ class DatasetSpec:
             raise ValueError("class_means and dc_map values must be finite")
         if not means:
             raise ValueError("class_means must be non-empty")
+        classes = range(len(means))
+        if self.dc_map is not None and set(self.dc_map) != set(classes):
+            missing = [c for c in classes if c not in self.dc_map]
+            extra = [k for k in self.dc_map if k not in classes]
+            raise ValueError(f"dc_map keys must be 0..{classes[-1]}: missing {missing}, extra {extra}")
         if any(b <= a for a, b in zip(means, means[1:])):
             raise ValueError("class_means must be strictly increasing")
         if self.freq_std < 0:
@@ -247,6 +252,5 @@ def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     inputs = (2.0 * math.pi * freqs)[:, None] * _time_grid(spec.sample_rate, spec.duration)
     np.cos(inputs, out=inputs)
     if spec.dc_map is not None:
-        offsets = np.array([float(spec.dc_map[c]) for c in range(spec.n_classes)])
-        inputs += offsets[labels, None]
+        inputs += np.array([float(spec.dc_map[c]) for c in range(spec.n_classes)])[labels, None]
     return LabeledSet(inputs, labels, spec.sample_rate, freqs)

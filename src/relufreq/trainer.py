@@ -131,18 +131,6 @@ class TrainingRecord:
 
 
 @dataclass
-class ComparisonReport:
-    """Each variant's records stacked over repetitions, plus its counts, dataset and networks."""
-
-    n_repetitions: int
-    epochs: int
-    batch_size: int
-    dataset_spec: DatasetSpec
-    architectures: Dict[str, Architecture]
-    nets: Dict[str, TrainingRecord]
-
-
-@dataclass
 class ZeroTrainReport:
     """Per-class DC statistics of relu(conv(x)) plus the filter's gains there."""
 
@@ -444,6 +432,7 @@ def default_dataset_spec() -> DatasetSpec:
 
 
 DEFAULT_DC_LEVELS = {0: 1.0, 1: 2.0, 2: 3.0}
+BATCH_SIZE = 32
 
 
 def _comparison_architecture(activation: str, spec: DatasetSpec) -> Architecture:
@@ -501,19 +490,20 @@ def run_comparison(
     n_repetitions: int,
     base_seed: int,
     epochs: int = 50,
-    batch_size: int = 32,
+    batch_size: int = BATCH_SIZE,
     dataset_spec: Optional[DatasetSpec] = None,
-) -> ComparisonReport:
+) -> Dict[str, TrainingRecord]:
     """Train the VARIANTS over repeated seeded runs, one _run_repetition per row of seeds.
 
     Seeds for data, inits, and shuffles derive from one PCG64 stream over
     base_seed (see SEED_DERIVATION), so repetitions are independent and the
-    whole report is reproducible. Every variant trains with the Adam settings
-    ADAM, and the DC variant's offsets are DEFAULT_DC_LEVELS.
+    result is reproducible. Every variant trains with the Adam settings ADAM,
+    and the DC variant's offsets are the DEFAULT_DC_LEVELS of the spec's classes.
 
     Repetitions train in forked workers (see _worker_count), which start with
-    this process's modules as they are; one worker trains here, unforked. The
-    report stacks them in row order, so it does not depend on the worker count.
+    this process's modules as they are; one worker trains here, unforked. Each
+    variant's records are stacked in row order into one TrainingRecord, so the
+    returned {variant: TrainingRecord} does not depend on the worker count.
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
@@ -522,7 +512,8 @@ def run_comparison(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
-    spec_dc = replace(spec, dc_map=dict(DEFAULT_DC_LEVELS))
+    levels = {c: level for c, level in DEFAULT_DC_LEVELS.items() if c < spec.n_classes}
+    spec_dc = replace(spec, dc_map=levels)
     master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
     task = partial(_run_repetition, spec, spec_dc, epochs, batch_size)
@@ -543,11 +534,7 @@ def run_comparison(
         records = [rep[name] for rep in reps]
         curves = {c: np.stack([r.curves[c] for r in records]) for c in records[0].curves}
         nets[name] = TrainingRecord(curves, np.array([r.final_accuracy for r in records]))
-    architectures = {
-        name: _comparison_architecture(activation, spec)
-        for name, (activation, _) in VARIANTS.items()
-    }
-    return ComparisonReport(n_repetitions, epochs, batch_size, spec, architectures, nets)
+    return nets
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ def sequential_repetitions():
     def run(n_repetitions, base_seed, epochs, batch_size, spec):
         master = np.random.Generator(np.random.PCG64(base_seed))
         seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(trainer.VARIANTS)))
-        spec_dc = replace(spec, dc_map=dict(trainer.DEFAULT_DC_LEVELS))
+        levels = {c: v for c, v in trainer.DEFAULT_DC_LEVELS.items() if c < spec.n_classes}
+        spec_dc = replace(spec, dc_map=levels)
         return [trainer._run_repetition(spec, spec_dc, epochs, batch_size, row) for row in seeds]
 
     return run

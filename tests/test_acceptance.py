@@ -233,9 +233,8 @@ def one_sided_sign_test(successes: int, trials: int) -> float:
 def test_c08_training_comparison_directions():
     t0 = time.perf_counter()
     reps = 20
-    result = run_comparison(reps, base_seed=0, epochs=50)
+    nets = run_comparison(reps, base_seed=0, epochs=50)
     elapsed = time.perf_counter() - t0
-    nets = result.nets
     checks = [
         (
             "final loss linear_dc < linear",

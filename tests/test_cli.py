@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -639,23 +640,35 @@ class TestTrainCompare:
         assert set(manifest["results"]) == {"relu", "linear", "linear_dc"}
 
     def test_manifest_round_trips_to_what_trained(self, tmp_path, monkeypatch):
-        trained = []
-        init_network = trainer.init_network
+        """The CLI records what it passed; every init and train call must match that record."""
+        trained, calls = [], []
+        init_network, train = trainer.init_network, trainer.train
 
         def recording_init(arch, seed):
             trained.append(arch)
             return init_network(arch, seed)
 
+        def recording_train(net, trainset, epochs, batch_size, seed=0):
+            calls.append({"epochs": epochs, "batch_size": batch_size})
+            return train(net, trainset, epochs, batch_size, seed)
+
+        # one worker, so that the calls are recorded in this process
+        monkeypatch.setattr(trainer, "_worker_count", lambda n: 1)
         monkeypatch.setattr(trainer, "init_network", recording_init)
+        monkeypatch.setattr(trainer, "train", recording_train)
         out = tmp_path / "rt"
-        assert run(["train-compare", "--reps", "1", "--epochs", "1", "--out", str(out)]) == 0
+        assert run(["train-compare", "--reps", "2", "--epochs", "1", "--out", str(out)]) == 0
         config = json.loads(read(out / "manifest.json"))["full_config"]
+        assert config["repetitions"] == 2
+        assert len(trained) == 2 * len(config["networks"])
+        recorded = {"epochs": config["epochs"], "batch_size": config["batch_size"]}
+        assert calls == [recorded] * len(trained)
         rebuilt = []
         for name in config["networks"]:
             fields = dict(config["architectures"][name])
             layers = tuple(ConvLayerSpec(**layer) for layer in fields.pop("conv_layers"))
             rebuilt.append(Architecture(conv_layers=layers, **fields))
-        assert rebuilt == trained
+        assert trained == rebuilt * 2
         keys = {"conv_layers", "hidden_units", "n_classes", "input_length"}
         assert all(set(config["architectures"][name]) == keys for name in config["networks"])
         assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
@@ -782,9 +795,9 @@ def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, sequential_re
     """Each row's median and quartiles equal numpy's on that cell's per-repetition values."""
     spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 8, 64.0, 1.0)
     epochs = 2
-    report = run_comparison(3, seed, epochs=epochs, batch_size=8, dataset_spec=spec)
+    nets = run_comparison(3, seed, epochs=epochs, batch_size=8, dataset_spec=spec)
     reps = sequential_repetitions(3, seed, epochs, 8, spec)
-    by_net = {name: [rep[name] for rep in reps] for name in report.nets}
+    by_net = {name: [rep[name] for rep in reps] for name in nets}
 
     def cell(values):
         return (np.median(values), np.quantile(values, 0.25), np.quantile(values, 0.75))
@@ -799,7 +812,7 @@ def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, sequential_re
             for epoch in range(0, epochs + 1):
                 values = [r.curves["distance"][layer, epoch] for r in recs]
                 dist_rows.append((epoch, name, layer, *cell(values)))
-        net = report.nets[name]
+        net = nets[name]
         assert net.final_losses.tolist() == [r.curves["loss"][-1] for r in recs]
         assert net.final_conv_distances.tolist() == [
             math.sqrt(sum(d * d for d in r.curves["distance"][:, -1])) for r in recs
@@ -809,11 +822,11 @@ def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, sequential_re
         header, columns = table
         return header, list(zip(*(np.asarray(column).tolist() for column in columns)))
 
-    assert as_rows(_curve_table(report, "loss")) == (
+    assert as_rows(_curve_table(nets, epochs, "loss")) == (
         ["epoch", "net", "median", "q25", "q75"],
         loss_rows,
     )
-    assert as_rows(_curve_table(report, "distance")) == (
+    assert as_rows(_curve_table(nets, epochs, "distance")) == (
         ["epoch", "net", "layer", "median", "q25", "q75"],
         dist_rows,
     )
@@ -833,6 +846,20 @@ DIGEST_INVOCATIONS = {
     "proto-avg": ["proto", "--kind", "avg"],
     "heart-demo": ["heart-demo"],
 }
+
+
+def test_every_traced_name_resolves_to_a_package_function(monkeypatch):
+    """perfbench's --trace 1 spans wrap each TRACED "<module>.<function>" of relufreq."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its own directory
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    assert bench.TRACED
+    for name in bench.TRACED:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"relufreq.{module}"), function, None)), name
 
 
 @pytest.mark.parametrize("argv", DIGEST_INVOCATIONS.values(), ids=list(DIGEST_INVOCATIONS))

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,22 @@ class TestRunPrototype:
     def test_numpy_integer_depth_is_stored_as_int(self):
         stack = make_prototype_stack("differentiator", depth=np.int64(3))
         assert type(stack.depth) is int and stack.depth == 3
+
+    def test_a_checked_stack_cannot_be_changed(self):
+        """Setting depth = 2.5 after the check once made run_prototype raise a raw TypeError."""
+        stack = make_prototype_stack("moving_average", depth=2, avg_len=2)
+        with pytest.raises(FrozenInstanceError):
+            stack.depth = 2.5
+        with pytest.raises(FrozenInstanceError):
+            stack.kernel.taps = np.ones(3)
+        with pytest.raises(ValueError, match="read-only"):
+            stack.kernel.taps[0] = 1.0
+        assert stack.depth == 2 and stack.kernel.taps.tolist() == [0.5, 0.5]
+
+
+def test_kernel_keeps_a_copy_and_leaves_the_callers_array_writable():
+    taps = np.array([1.0, -1.0])
+    kernel = Kernel(taps)
+    taps[0] = 2.0
+    assert taps.flags.writeable
+    assert kernel.taps.tolist() == [1.0, -1.0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relufreq import (
     sample_dataset,
     synthesize,
 )
+from relufreq.trainer import DEFAULT_DC_LEVELS, default_dataset_spec
 
 
 def test_synthesize_zero_frequency_is_constant():
@@ -196,6 +198,23 @@ class TestDatasetSpec:
     def test_numpy_integer_samples_per_class_is_stored_as_int(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, np.int64(3), 64.0, 1.0)
         assert type(spec.samples_per_class) is int and spec.samples_per_class == 3
+
+    @pytest.mark.parametrize(
+        "dc_map, message",
+        [
+            ({0: 1.0}, r"missing \[1\], extra \[\]"),
+            ({0: 1.0, 1: 2.0, 7: 5.0}, r"missing \[\], extra \[7\]"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_dc_map_keys_must_be_exactly_the_classes(self, dc_map, message):
+        """A missing class once raised a raw KeyError; an extra one was ignored."""
+        with pytest.raises(ValueError, match=r"dc_map keys must be 0\.\.1: " + message):
+            sample_dataset(DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1.0, dc_map), 0)
+
+    def test_default_dc_levels_key_the_default_classes(self):
+        spec = replace(default_dataset_spec(), dc_map=DEFAULT_DC_LEVELS)
+        assert len(sample_dataset(spec, 0)) == spec.n_classes * spec.samples_per_class
 
 
 class TestSampleDataset:

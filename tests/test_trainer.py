@@ -874,9 +874,8 @@ def test_training_holds_no_more_than_a_few_batches(activation):
 class TestRunComparison:
     def test_single_repetition_equals_its_record(self):
         spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 12, 64.0, 1.0)
-        report = run_comparison(1, 0, epochs=2, batch_size=8, dataset_spec=spec)
-        assert report.n_repetitions == 1
-        for net in report.nets.values():
+        nets = run_comparison(1, 0, epochs=2, batch_size=8, dataset_spec=spec)
+        for net in nets.values():
             assert net.curves["loss"].shape == (1, 2)
             median, q25, q75 = _quartiles(net.curves["loss"])
             assert np.array_equal(median, q25)
@@ -886,8 +885,8 @@ class TestRunComparison:
 
     def test_zero_epochs_leave_final_losses_empty(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, 4, 64.0, 1.0)
-        report = run_comparison(1, 0, epochs=0, batch_size=8, dataset_spec=spec)
-        for net in report.nets.values():
+        nets = run_comparison(1, 0, epochs=0, batch_size=8, dataset_spec=spec)
+        for net in nets.values():
             assert net.final_losses.size == 0
             assert net.curves["loss"].shape == (1, 0)
 
@@ -899,9 +898,9 @@ class TestRunComparison:
     def test_stacked_finals_equal_the_per_repetition_records(self, epochs, sequential_repetitions):
         """Row r of a stacked record's finals is repetition r's own record's finals."""
         spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
-        report = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
+        nets = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
         reps = sequential_repetitions(3, 4, epochs, 4, spec)
-        for name, net in report.nets.items():
+        for name, net in nets.items():
             recs = [rep[name] for rep in reps]
             assert len(recs) == 3
             assert net.final_losses.tolist() == [x for r in recs for x in r.final_losses]
@@ -913,11 +912,9 @@ class TestRunComparison:
         spec = DatasetSpec((3.0, 5.0), 0.1, 8, 64.0, 1.0)
         a = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
         b = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
-        for name in a.nets:
-            assert np.array_equal(a.nets[name].curves["loss"], b.nets[name].curves["loss"])
-            assert np.array_equal(
-                a.nets[name].final_conv_distances, b.nets[name].final_conv_distances
-            )
+        for name in a:
+            assert np.array_equal(a[name].curves["loss"], b[name].curves["loss"])
+            assert np.array_equal(a[name].final_conv_distances, b[name].final_conv_distances)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -925,6 +922,8 @@ class TestRunComparison:
             ((0, 0), "n_repetitions must be >= 1"),
             ((1, 0, -1), "epochs must be >= 0"),
             ((2, 0, 1, 0), "batch_size must be >= 1"),
+            # DEFAULT_DC_LEVELS has no offset for a fourth class
+            ((1, 0, 1, 8, DatasetSpec((3.0, 5.0, 10.0, 12.0), 0.1, 2, 64.0, 1.0)), r"\[3\]"),
         ],
     )
     def test_bad_counts_fail_before_any_work(self, args, message, monkeypatch):
@@ -952,10 +951,10 @@ class TestRunComparison:
         monkeypatch.setattr(trainer, "_worker_count", lambda n: min(n, 2))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
         spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
-        report = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
+        nets = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
         assert pools == [2]
         assert multiprocessing.active_children() == []
-        assert_same_bits(report, sequential_repetitions(3, 4, epochs, 4, spec))
+        assert_same_bits(nets, sequential_repetitions(3, 4, epochs, 4, spec))
 
     def test_one_worker_trains_in_this_process(self, monkeypatch, sequential_repetitions):
         """With one worker, as on a one-core machine, no pool is made and nothing forks."""
@@ -967,13 +966,13 @@ class TestRunComparison:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
         monkeypatch.setattr(os, "fork", no_fork)
         spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
-        report = run_comparison(3, 4, epochs=2, batch_size=4, dataset_spec=spec)
-        assert_same_bits(report, sequential_repetitions(3, 4, 2, 4, spec))
+        nets = run_comparison(3, 4, epochs=2, batch_size=4, dataset_spec=spec)
+        assert_same_bits(nets, sequential_repetitions(3, 4, 2, 4, spec))
 
 
-def assert_same_bits(report, reps):
+def assert_same_bits(nets, reps):
     """Every stacked curve and final accuracy has the bits of the per-repetition records."""
-    for name, net in report.nets.items():
+    for name, net in nets.items():
         records = [rep[name] for rep in reps]
         pairs = [(net.curves[c], np.stack([r.curves[c] for r in records])) for c in net.curves]
         pairs.append((net.final_accuracy, np.array([r.final_accuracy for r in records])))
