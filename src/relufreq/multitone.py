@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class DatasetSpec:
     """Geometry of a labeled single-tone dataset.
 
     Each sample of class ``c`` is cos(2*pi*f*t) with f drawn from a normal
-    distribution centered on ``class_means[c]``; ``dc_map`` optionally adds a
-    constant offset to every sample of class ``c``, keyed by every class 0..n-1.
+    distribution centered on ``class_means[c]``.
     """
 
     class_means: tuple
@@ -98,7 +97,6 @@ class DatasetSpec:
     samples_per_class: int
     sample_rate: float
     duration: float
-    dc_map: Optional[Mapping[int, float]] = None
 
     def __post_init__(self) -> None:
         means = tuple(float(m) for m in self.class_means)
@@ -106,16 +104,10 @@ class DatasetSpec:
         _require_finite(
             freq_std=self.freq_std, sample_rate=self.sample_rate, duration=self.duration
         )
-        offsets = self.dc_map.values() if self.dc_map is not None else ()
-        if not all(math.isfinite(v) for v in (*means, *offsets)):
-            raise ValueError("class_means and dc_map values must be finite")
+        if not all(math.isfinite(m) for m in means):
+            raise ValueError("class_means must be finite")
         if not means:
             raise ValueError("class_means must be non-empty")
-        classes = range(len(means))
-        if self.dc_map is not None and set(self.dc_map) != set(classes):
-            missing = [c for c in classes if c not in self.dc_map]
-            extra = [k for k in self.dc_map if k not in classes]
-            raise ValueError(f"dc_map keys must be 0..{classes[-1]}: missing {missing}, extra {extra}")
         if any(b <= a for a, b in zip(means, means[1:])):
             raise ValueError("class_means must be strictly increasing")
         if self.freq_std < 0:
@@ -236,8 +228,7 @@ def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     Rows are class-major then sample-major, one normal frequency draw per row
     via Box-Muller over two consecutive uniforms, so the frequencies are a
     fixed function of the PCG64 bit stream. Each row equals
-    ``synthesize(MultiTone([f], [1.0]), ...)`` plus its class's
-    ``dc_map`` offset, bit for bit.
+    ``synthesize(MultiTone([f], [1.0]), ...)`` bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.repeat(np.arange(spec.n_classes), spec.samples_per_class)
@@ -251,6 +242,4 @@ def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     _check_below_nyquist(freqs, spec.sample_rate)
     inputs = (2.0 * math.pi * freqs)[:, None] * _time_grid(spec.sample_rate, spec.duration)
     np.cos(inputs, out=inputs)
-    if spec.dc_map is not None:
-        inputs += np.array([float(spec.dc_map[c]) for c in range(spec.n_classes)])[labels, None]
     return LabeledSet(inputs, labels, spec.sample_rate, freqs)

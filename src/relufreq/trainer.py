@@ -53,6 +53,7 @@ class Architecture:
     flatten_mode: ClassVar[str] = "global_average"  # the only head; perfbench's cost model reads it
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "conv_layers", tuple(self.conv_layers))
         if len(self.conv_layers) < 1:
             raise ValueError("need at least one conv layer")
         _store_sizes(self, hidden_units=1, n_classes=2, input_length=1)
@@ -453,29 +454,34 @@ def _comparison_architecture(activation: str, spec: DatasetSpec) -> Architecture
     )
 
 
-# Variant name -> (conv activation, trains on the DC-augmented set). Row r of
+# Variant name -> (conv activation, adds the class DC offsets). Row r of
 # the (reps, 1 + 2 * len(VARIANTS)) seed matrix seeds repetition r: column 0
-# its datasets, column 1 + i variant i's init, column 1 + len(VARIANTS) + i
+# its dataset, column 1 + i variant i's init, column 1 + len(VARIANTS) + i
 # variant i's shuffles.
 VARIANTS = {"relu": (RELU, False), "linear": (LINEAR, False), "linear_dc": (LINEAR, True)}
 SEED_DERIVATION = "PCG64(seed) integer matrix (reps, 7): data, init x3, shuffle x3"
 
 
 def _run_repetition(
-    spec: DatasetSpec, spec_dc: DatasetSpec, epochs: int, batch_size: int, seed_row: np.ndarray
+    spec: DatasetSpec,
+    offsets: np.ndarray,
+    architectures: Dict[str, Architecture],
+    epochs: int,
+    batch_size: int,
+    seed_row: np.ndarray,
 ) -> Dict[str, TrainingRecord]:
     """Train every variant of one repetition from its row of the seed matrix.
 
-    The plain dataset is shared by the variants without DC; the DC-augmented
-    one reuses the same frequency draws with the per-class offsets added.
+    The variants share one drawn dataset; a DC variant trains on its rows
+    plus offsets[label], the DC offset of each row's class.
     """
-    data_seed = int(seed_row[0])
-    datasets = {False: sample_dataset(spec, data_seed), True: sample_dataset(spec_dc, data_seed)}
+    plain = sample_dataset(spec, int(seed_row[0]))
+    shifted = replace(plain, inputs=plain.inputs + offsets[plain.labels, None])
     records = {}
-    for i, (name, (activation, use_dc)) in enumerate(VARIANTS.items()):
-        net = init_network(_comparison_architecture(activation, spec), int(seed_row[1 + i]))
+    for i, (name, (_, use_dc)) in enumerate(VARIANTS.items()):
+        net = init_network(architectures[name], int(seed_row[1 + i]))
         shuffle_seed = int(seed_row[1 + len(VARIANTS) + i])
-        records[name] = train(net, datasets[use_dc], epochs, batch_size, shuffle_seed)
+        records[name] = train(net, shifted if use_dc else plain, epochs, batch_size, shuffle_seed)
     return records
 
 
@@ -497,8 +503,9 @@ def run_comparison(
 
     Seeds for data, inits, and shuffles derive from one PCG64 stream over
     base_seed (see SEED_DERIVATION), so repetitions are independent and the
-    result is reproducible. Every variant trains with the Adam settings ADAM,
-    and the DC variant's offsets are the DEFAULT_DC_LEVELS of the spec's classes.
+    result is reproducible. Every variant trains with the Adam settings ADAM.
+    The DC variant adds the DEFAULT_DC_LEVELS of the spec's classes. A missing
+    level or a spec the architectures reject raises ValueError before any work.
 
     Repetitions train in forked workers (see _worker_count), which start with
     this process's modules as they are; one worker trains here, unforked. Each
@@ -512,11 +519,14 @@ def run_comparison(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
-    levels = {c: level for c, level in DEFAULT_DC_LEVELS.items() if c < spec.n_classes}
-    spec_dc = replace(spec, dc_map=levels)
+    missing = [c for c in range(spec.n_classes) if c not in DEFAULT_DC_LEVELS]
+    if missing:
+        raise ValueError(f"DEFAULT_DC_LEVELS has no offset for classes {missing}")
+    offsets = np.array([DEFAULT_DC_LEVELS[c] for c in range(spec.n_classes)])
+    archs = {name: _comparison_architecture(act, spec) for name, (act, _) in VARIANTS.items()}
     master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
-    task = partial(_run_repetition, spec, spec_dc, epochs, batch_size)
+    task = partial(_run_repetition, spec, offsets, archs, epochs, batch_size)
     workers = _worker_count(n_repetitions)
     if workers == 1:
         reps = list(map(task, seeds))

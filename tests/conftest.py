@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,13 @@ def sequential_repetitions():
     def run(n_repetitions, base_seed, epochs, batch_size, spec):
         master = np.random.Generator(np.random.PCG64(base_seed))
         seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(trainer.VARIANTS)))
-        levels = {c: v for c, v in trainer.DEFAULT_DC_LEVELS.items() if c < spec.n_classes}
-        spec_dc = replace(spec, dc_map=levels)
-        return [trainer._run_repetition(spec, spec_dc, epochs, batch_size, row) for row in seeds]
+        offsets = np.array([trainer.DEFAULT_DC_LEVELS[c] for c in range(spec.n_classes)])
+        archs = {
+            name: trainer._comparison_architecture(activation, spec)
+            for name, (activation, _) in trainer.VARIANTS.items()
+        }
+        return [
+            trainer._run_repetition(spec, offsets, archs, epochs, batch_size, row) for row in seeds
+        ]
 
     return run

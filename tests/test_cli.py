@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from relufreq import cli, trainer
 from relufreq.cli import RunManifest, _curve_table, emit_csv, emit_manifest, run
-from relufreq.multitone import DatasetSpec, ProbeSpec
+from relufreq.multitone import DatasetSpec, ProbeSpec, sample_dataset
 from relufreq.relu_taylor import TaylorConfig
 from relufreq.spectral import spectrum
 from relufreq.trainer import Architecture, ConvLayerSpec, default_dataset_spec, run_comparison
@@ -640,8 +640,8 @@ class TestTrainCompare:
         assert set(manifest["results"]) == {"relu", "linear", "linear_dc"}
 
     def test_manifest_round_trips_to_what_trained(self, tmp_path, monkeypatch):
-        """The CLI records what it passed; every init and train call must match that record."""
-        trained, calls = [], []
+        """The CLI records what it passed; every init, train call and trained set must match it."""
+        trained, calls, trainsets = [], [], []
         init_network, train = trainer.init_network, trainer.train
 
         def recording_init(arch, seed):
@@ -650,6 +650,7 @@ class TestTrainCompare:
 
         def recording_train(net, trainset, epochs, batch_size, seed=0):
             calls.append({"epochs": epochs, "batch_size": batch_size})
+            trainsets.append(trainset)
             return train(net, trainset, epochs, batch_size, seed)
 
         # one worker, so that the calls are recorded in this process
@@ -658,7 +659,8 @@ class TestTrainCompare:
         monkeypatch.setattr(trainer, "train", recording_train)
         out = tmp_path / "rt"
         assert run(["train-compare", "--reps", "2", "--epochs", "1", "--out", str(out)]) == 0
-        config = json.loads(read(out / "manifest.json"))["full_config"]
+        manifest = json.loads(read(out / "manifest.json"))
+        config = manifest["full_config"]
         assert config["repetitions"] == 2
         assert len(trained) == 2 * len(config["networks"])
         recorded = {"epochs": config["epochs"], "batch_size": config["batch_size"]}
@@ -674,6 +676,21 @@ class TestTrainCompare:
         assert DatasetSpec(**config["dataset"]) == default_dataset_spec()
         assert config["adam"] == {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-08}
         assert config["dc_levels"] == {"0": 1.0, "1": 2.0, "2": 3.0}
+        # every trained set, rebuilt from the manifest alone, bit for bit
+        derivation = "PCG64(seed) integer matrix (reps, 7): data, init x3, shuffle x3"
+        assert config["seed_derivation"] == derivation
+        master = np.random.Generator(np.random.PCG64(manifest["seed"]))
+        data_seeds = master.integers(0, 2**31 - 1, (config["repetitions"], 7))[:, 0]
+        assert len(trainsets) == len(trained)
+        trainsets = iter(trainsets)
+        for data_seed in data_seeds:
+            plain = sample_dataset(DatasetSpec(**config["dataset"]), int(data_seed))
+            offsets = np.array([config["dc_levels"][str(label)] for label in plain.labels])
+            for name in config["networks"]:
+                want = plain.inputs + offsets[:, None] if name == "linear_dc" else plain.inputs
+                got = next(trainsets)
+                assert got.inputs.tobytes() == want.tobytes()
+                assert np.array_equal(got.labels, plain.labels)
 
     def test_divergence_exits_1_with_error_name(self, tmp_path, diverging_train, capsys):
         out = tmp_path / "dv"

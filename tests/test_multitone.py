@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from relufreq import (
     sample_dataset,
     synthesize,
 )
-from relufreq.trainer import DEFAULT_DC_LEVELS, default_dataset_spec
 
 
 def test_synthesize_zero_frequency_is_constant():
@@ -135,7 +133,6 @@ def test_signal_validation():
         lambda: DatasetSpec((3.0, 5.0), math.nan, 10, 64.0, 1.0),
         lambda: DatasetSpec((3.0, 5.0), 0.1, 10, math.inf, 1.0),
         lambda: DatasetSpec((3.0, 5.0), 0.1, 10, 64.0, math.inf),
-        lambda: DatasetSpec((3.0, 5.0), 0.1, 10, 64.0, 1.0, {0: 0.0, 1: math.nan}),
     ],
     ids=[
         "amplitude",
@@ -147,7 +144,6 @@ def test_signal_validation():
         "freq_std",
         "spec_rate",
         "spec_duration",
-        "dc_map",
     ],
 )
 def test_non_finite_values_are_rejected(build):
@@ -199,23 +195,6 @@ class TestDatasetSpec:
         spec = DatasetSpec((3.0, 5.0), 0.1, np.int64(3), 64.0, 1.0)
         assert type(spec.samples_per_class) is int and spec.samples_per_class == 3
 
-    @pytest.mark.parametrize(
-        "dc_map, message",
-        [
-            ({0: 1.0}, r"missing \[1\], extra \[\]"),
-            ({0: 1.0, 1: 2.0, 7: 5.0}, r"missing \[\], extra \[7\]"),
-        ],
-        ids=["missing", "extra"],
-    )
-    def test_dc_map_keys_must_be_exactly_the_classes(self, dc_map, message):
-        """A missing class once raised a raw KeyError; an extra one was ignored."""
-        with pytest.raises(ValueError, match=r"dc_map keys must be 0\.\.1: " + message):
-            sample_dataset(DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1.0, dc_map), 0)
-
-    def test_default_dc_levels_key_the_default_classes(self):
-        spec = replace(default_dataset_spec(), dc_map=DEFAULT_DC_LEVELS)
-        assert len(sample_dataset(spec, 0)) == spec.n_classes * spec.samples_per_class
-
 
 class TestSampleDataset:
     spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 20, 64.0, 1.0)
@@ -241,16 +220,6 @@ class TestSampleDataset:
         for sig, label in zip(ds.inputs, ds.labels):
             if label == 0:
                 assert np.array_equal(sig, ref.samples)
-
-    def test_dc_map_shifts_class_means(self):
-        spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 300, 64.0, 1.0, {0: 1.0, 1: 2.0, 2: 3.0})
-        ds = sample_dataset(spec, seed=42)
-        labels = np.array(ds.labels)
-        means = np.array([sig.mean() for sig in ds.inputs])
-        for c in range(3):
-            vals = means[labels == c]
-            se = vals.std(ddof=1) / np.sqrt(vals.size)
-            assert abs(vals.mean() - (c + 1.0)) < 3.0 * se
 
     def test_duration_below_one_sample_is_rejected(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1e-9)
@@ -282,13 +251,11 @@ def box_muller_reference(spec, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 2])
-@pytest.mark.parametrize("dc_map", [None, {0: 1.0, 1: 2.0, 2: 3.0}])
-def test_sample_dataset_rows_match_scalar_synthesis(seed, dc_map):
-    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 20, 64.0, 1.0, dc_map)
+def test_sample_dataset_rows_match_scalar_synthesis(seed):
+    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 20, 64.0, 1.0)
     ds = sample_dataset(spec, seed)
     assert np.array_equal(ds.frequencies, box_muller_reference(spec, seed))
     assert ds.sample_rate == spec.sample_rate
-    for row, f, label in zip(ds.inputs, ds.frequencies, ds.labels):
+    for row, f in zip(ds.inputs, ds.frequencies):
         tone = synthesize(MultiTone([f], [1.0]), spec.sample_rate, spec.duration)
-        offset = dc_map[label] if dc_map is not None else 0.0
-        assert np.array_equal(row, tone.samples + offset)
+        assert np.array_equal(row, tone.samples)

@@ -19,6 +19,7 @@ from relufreq import (
     DivergenceError,
     Kernel,
     LabeledSet,
+    MultiTone,
     Signal,
     adam_step,
     backward,
@@ -31,6 +32,7 @@ from relufreq import (
     loss_sparse_ce,
     run_comparison,
     sample_dataset,
+    synthesize,
     train,
     weight_distance,
     zero_train_eval,
@@ -142,6 +144,15 @@ class TestSizes:
         with pytest.raises(ValueError, match="hidden_units"):
             init_network(replace(arch, hidden_units=16.0), 0)
         assert init_network(arch, 0).theta.shape == (trainer._layout(arch)[0],)
+
+    def test_a_list_of_conv_layers_is_stored_as_a_tuple(self):
+        """A list once constructed, then failed in _layout's cache as unhashable."""
+        arch = Architecture([ConvLayerSpec(2, 3)], 4, 2, 8)
+        assert arch.conv_layers == (ConvLayerSpec(2, 3),)
+        net = init_network(arch, 0)
+        logits, cache = forward(net, np.ones((3, 8)))
+        assert logits.shape == (3, 2)
+        assert backward(net, cache, [0, 1, 0]).shape == net.theta.shape
 
 
 @settings(max_examples=25, deadline=None)
@@ -924,6 +935,12 @@ class TestRunComparison:
             ((2, 0, 1, 0), "batch_size must be >= 1"),
             # DEFAULT_DC_LEVELS has no offset for a fourth class
             ((1, 0, 1, 8, DatasetSpec((3.0, 5.0, 10.0, 12.0), 0.1, 2, 64.0, 1.0)), r"\[3\]"),
+            # specs that _comparison_architecture cannot take, with and without a pool
+            ((1, 0, 1, 8, DatasetSpec((3.0,), 0.1, 2, 64.0, 1.0)), "n_classes must be an integer"),
+            (
+                (2, 0, 1, 8, DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 4 / 64)),
+                "input_length shorter than a conv kernel",
+            ),
         ],
     )
     def test_bad_counts_fail_before_any_work(self, args, message, monkeypatch):
@@ -968,6 +985,39 @@ class TestRunComparison:
         spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
         nets = run_comparison(3, 4, epochs=2, batch_size=4, dataset_spec=spec)
         assert_same_bits(nets, sequential_repetitions(3, 4, 2, 4, spec))
+
+
+def test_linear_dc_trains_on_the_one_drawn_set_plus_its_class_offsets(monkeypatch):
+    """One draw per repetition; each linear_dc row is its tone plus its class's DC level."""
+    draws, trainsets = [], []
+    sample, train_ = trainer.sample_dataset, trainer.train
+
+    def counting_sample(spec, seed):
+        draws.append(seed)
+        return sample(spec, seed)
+
+    def recording_train(net, trainset, epochs, batch_size, seed=0):
+        trainsets.append(trainset)
+        return train_(net, trainset, epochs, batch_size, seed)
+
+    monkeypatch.setattr(trainer, "_worker_count", lambda n: 1)
+    monkeypatch.setattr(trainer, "sample_dataset", counting_sample)
+    monkeypatch.setattr(trainer, "train", recording_train)
+    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 4, 64.0, 1.0)
+    run_comparison(2, 7, epochs=0, batch_size=8, dataset_spec=spec)
+    seeds = np.random.Generator(np.random.PCG64(7)).integers(0, 2**31 - 1, size=(2, 7))
+    assert draws == seeds[:, 0].tolist()
+    assert len(trainsets) == 2 * len(trainer.VARIANTS)
+    for rep, data_seed in enumerate(draws):
+        drawn = sample(spec, data_seed)
+        tones = np.array(
+            [synthesize(MultiTone([f], [1.0]), 64.0, 1.0).samples for f in drawn.frequencies]
+        )
+        levels = np.array([trainer.DEFAULT_DC_LEVELS[label] for label in drawn.labels])
+        wants = {"relu": tones, "linear": tones, "linear_dc": tones + levels[:, None]}
+        for name, trainset in zip(trainer.VARIANTS, trainsets[3 * rep : 3 * rep + 3]):
+            assert trainset.inputs.tobytes() == wants[name].tobytes()
+            assert np.array_equal(trainset.labels, drawn.labels)
 
 
 def assert_same_bits(nets, reps):
