@@ -36,7 +36,6 @@ from .spectral import (
 )
 from .relu_taylor import (
     ConvergenceReport,
-    TaylorConfig,
     approximate_relu,
     convergence_report,
     dc_model,

@@ -23,7 +23,7 @@ from .convnets import (
 )
 from .errors import ReluFreqError
 from .multitone import DatasetSpec, ProbeSpec, _check_below_nyquist, sample_dataset
-from .relu_taylor import PRESCALE, TaylorConfig, approximate_relu, relu
+from .relu_taylor import PRESCALE, approximate_relu, relu
 from .spectral import band_occupancy, energy_fraction_above, rrmse, spectrum
 from .trainer import (
     ADAM,
@@ -56,18 +56,6 @@ ZERO_TRAIN_SPEC = DatasetSpec(
 )
 DEFAULT_ZERO_KERNEL = (0.6, 0.4)
 RESPONSE_POINTS = 257
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility envelope written next to every command's outputs."""
-
-    command: str
-    full_config: Dict[str, object]
-    seed: int
-    tool_version: str
-    output_files: List[str]
-    results: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -149,10 +137,16 @@ def _write_artifacts(out_dir: str, command: str, artifacts: Artifacts) -> None:
                 raise ValueError(f"{name} column {label!r} holds a non-finite value")
     texts = {name: _render_json(payload) for name, payload in artifacts.json_files.items()}
     written = [*artifacts.tables, *texts]
-    manifest = RunManifest(
-        command, artifacts.config, artifacts.seed, __version__, written, artifacts.results
+    manifest_text = _render_json(
+        {
+            "command": command,
+            "full_config": artifacts.config,
+            "seed": artifacts.seed,
+            "tool_version": __version__,
+            "output_files": written,
+            "results": artifacts.results,
+        }
     )
-    manifest_text = _render_json(manifest)
     os.makedirs(out_dir, exist_ok=True)
     for name, (header, columns) in artifacts.tables.items():
         emit_csv(os.path.join(out_dir, name), header, columns)
@@ -185,15 +179,15 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_approx(args) -> Artifacts:
-    if args.harmonics < 1:
-        raise ValueError(f"--harmonics must be >= 1, got {args.harmonics}")
+    for flag, value in (("--harmonics", args.harmonics), ("--terms", args.terms)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     # the top harmonic first, so an aliased count fails before any per-harmonic allocation
     _check_below_nyquist(np.array([args.f0 * args.harmonics]), args.fs)
     probe = ProbeSpec(args.f0, (1.0,) * args.harmonics, args.fs, args.duration)
     x = probe.signal()
     y_relu = relu(x)
-    cfg = TaylorConfig(args.terms)
-    approx, report = approximate_relu(probe.tones, probe.sample_rate, probe.duration, cfg)
+    approx, report = approximate_relu(probe.tones, probe.sample_rate, probe.duration, args.terms)
     err = rrmse(y_relu, approx)
     freqs, x_mag = spectrum(x).one_sided()
     _, relu_mag = spectrum(y_relu).one_sided()
@@ -206,7 +200,7 @@ def _cmd_approx(args) -> Artifacts:
     return Artifacts(
         config={
             "probe": probe,
-            "taylor": cfg,
+            "taylor": {"n_terms": args.terms},
             "prescale": PRESCALE,
             "rrmse_definition": RRMSE_DEFINITION,
             "dft_normalization": DFT_NORMALIZATION,

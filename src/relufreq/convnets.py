@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .multitone import Signal, _store_sizes
+from .multitone import Signal, _size, _store_sizes
 from .relu_taylor import relu
 
 DIFFERENTIATOR = "differentiator"
@@ -56,8 +56,7 @@ def make_prototype_stack(
     if kind == DIFFERENTIATOR:
         kernel = Kernel(np.array([1.0, -1.0]))
     elif kind == MOVING_AVERAGE:
-        if avg_len < 1:
-            raise ValueError("avg_len must be >= 1")
+        avg_len = _size("avg_len", avg_len, 1)
         kernel = Kernel(np.ones(avg_len) / avg_len)
     else:
         raise ValueError(f"unknown stack kind {kind!r}")

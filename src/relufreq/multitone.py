@@ -18,13 +18,17 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _size(name: str, value, low: int) -> int:
+    """value as an int >= low; numpy integers pass, 2.0 and "3" do not."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return operator.index(value)
+
+
 def _store_sizes(spec, **minimums: int) -> None:
-    """Store each named size as an int >= its minimum; numpy integers pass, 2.0 and "3" do not."""
+    """Store each named size of a frozen spec through _size."""
     for name, low in minimums.items():
-        value = getattr(spec, name)
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        object.__setattr__(spec, name, operator.index(value))
+        object.__setattr__(spec, name, _size(name, getattr(spec, name), low))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +57,6 @@ class MultiTone:
             raise ValueError("frequencies and amplitudes must have equal length")
         if np.unique(self.frequencies).size != self.frequencies.size:
             raise ValueError("frequencies must be pairwise distinct")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiTone)
-            and np.array_equal(self.frequencies, other.frequencies)
-            and np.array_equal(self.amplitudes, other.amplitudes)
-        )
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateInputError, DivergenceError
-from .multitone import MultiTone, Signal, _time_grid, synthesize
+from .multitone import MultiTone, Signal, _size, _time_grid, synthesize
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -23,17 +23,6 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 # exact arithmetic, but on the default approx probe it moves samples by up to ~1.9e22
 # where the series diverges, and the recorded approx_time.csv bytes depend on that.
 PRESCALE = 1e-4
-
-
-@dataclass(frozen=True)
-class TaylorConfig:
-    """Series truncation: the number of terms of sqrt(1 + u) summed."""
-
-    n_terms: int = 50
-
-    def __post_init__(self) -> None:
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +92,7 @@ def sqrt_taylor_coefficients(n_terms: int) -> np.ndarray:
     which stays exact in floating point far beyond where the factorial closed
     form overflows.
     """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    n_terms = _size("n_terms", n_terms, 1)
     coeffs = np.empty(n_terms)
     coeffs[0] = 1.0
     for n in range(1, n_terms):
@@ -145,9 +133,9 @@ def approximate_relu(
     tones: MultiTone,
     sample_rate: float,
     duration: float,
-    cfg: TaylorConfig = TaylorConfig(),
+    n_terms: int = 50,
 ) -> Tuple[Signal, ConvergenceReport]:
-    """Series approximation of relu(x) for a zero-phase multi-tone x.
+    """Series approximation of relu(x) for a zero-phase multi-tone x, summing n_terms terms.
 
     Amplitudes are scaled by PRESCALE before evaluation and the result is
     scaled back, mirroring the procedure the approximation is defined with.
@@ -172,12 +160,12 @@ def approximate_relu(
         dc_amp = dc_model(scaled.amplitudes, np.ones_like(scaled.amplitudes))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as DivergenceError
         fluct = power_fluctuation(scaled, sample_rate, duration)
-        series = sqrt1p_series(fluct.samples, cfg.n_terms)
+        series = sqrt1p_series(fluct.samples, n_terms)
         approx = (x.samples / 2.0 + dc_amp * series) / PRESCALE
     if not np.all(np.isfinite(approx)):
         peak = float(np.max(np.abs(fluct.samples)))
         raise DivergenceError(
-            f"the {cfg.n_terms}-term series is not finite where |u| reaches {peak:.17g}"
+            f"the {n_terms}-term series is not finite where |u| reaches {peak:.17g}"
         )
     return Signal(approx, sample_rate), convergence_report(fluct)
 

@@ -53,9 +53,10 @@ class Architecture:
     flatten_mode: ClassVar[str] = "global_average"  # the only head; perfbench's cost model reads it
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "conv_layers", tuple(self.conv_layers))
-        if len(self.conv_layers) < 1:
-            raise ValueError("need at least one conv layer")
+        layers = tuple(self.conv_layers)
+        object.__setattr__(self, "conv_layers", layers)
+        if not layers or not all(isinstance(layer, ConvLayerSpec) for layer in layers):
+            raise ValueError(f"conv_layers must be one or more ConvLayerSpecs, got {layers!r}")
         _store_sizes(self, hidden_units=1, n_classes=2, input_length=1)
         if self.input_length < max(s.kernel_size for s in self.conv_layers):
             raise ValueError("input_length shorter than a conv kernel")
@@ -467,7 +468,6 @@ def _run_repetition(
     offsets: np.ndarray,
     architectures: Dict[str, Architecture],
     epochs: int,
-    batch_size: int,
     seed_row: np.ndarray,
 ) -> Dict[str, TrainingRecord]:
     """Train every variant of one repetition from its row of the seed matrix.
@@ -481,7 +481,7 @@ def _run_repetition(
     for i, (name, (_, use_dc)) in enumerate(VARIANTS.items()):
         net = init_network(architectures[name], int(seed_row[1 + i]))
         shuffle_seed = int(seed_row[1 + len(VARIANTS) + i])
-        records[name] = train(net, shifted if use_dc else plain, epochs, batch_size, shuffle_seed)
+        records[name] = train(net, shifted if use_dc else plain, epochs, BATCH_SIZE, shuffle_seed)
     return records
 
 
@@ -496,14 +496,14 @@ def run_comparison(
     n_repetitions: int,
     base_seed: int,
     epochs: int = 50,
-    batch_size: int = BATCH_SIZE,
     dataset_spec: Optional[DatasetSpec] = None,
 ) -> Dict[str, TrainingRecord]:
     """Train the VARIANTS over repeated seeded runs, one _run_repetition per row of seeds.
 
     Seeds for data, inits, and shuffles derive from one PCG64 stream over
     base_seed (see SEED_DERIVATION), so repetitions are independent and the
-    result is reproducible. Every variant trains with the Adam settings ADAM.
+    result is reproducible. Every variant trains with the Adam settings ADAM
+    in mini-batches of BATCH_SIZE.
     The DC variant adds the DEFAULT_DC_LEVELS of the spec's classes. A missing
     level or a spec the architectures reject raises ValueError before any work.
 
@@ -516,8 +516,6 @@ def run_comparison(
         raise ValueError("n_repetitions must be >= 1")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     missing = [c for c in range(spec.n_classes) if c not in DEFAULT_DC_LEVELS]
     if missing:
@@ -526,7 +524,7 @@ def run_comparison(
     archs = {name: _comparison_architecture(act, spec) for name, (act, _) in VARIANTS.items()}
     master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
-    task = partial(_run_repetition, spec, offsets, archs, epochs, batch_size)
+    task = partial(_run_repetition, spec, offsets, archs, epochs)
     workers = _worker_count(n_repetitions)
     if workers == 1:
         reps = list(map(task, seeds))

@@ -12,7 +12,7 @@ def sequential_repetitions():
     {variant name: TrainingRecord} dict per repetition, in row order.
     """
 
-    def run(n_repetitions, base_seed, epochs, batch_size, spec):
+    def run(n_repetitions, base_seed, epochs, spec):
         master = np.random.Generator(np.random.PCG64(base_seed))
         seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(trainer.VARIANTS)))
         offsets = np.array([trainer.DEFAULT_DC_LEVELS[c] for c in range(spec.n_classes)])
@@ -20,8 +20,6 @@ def sequential_repetitions():
             name: trainer._comparison_architecture(activation, spec)
             for name, (activation, _) in trainer.VARIANTS.items()
         }
-        return [
-            trainer._run_repetition(spec, offsets, archs, epochs, batch_size, row) for row in seeds
-        ]
+        return [trainer._run_repetition(spec, offsets, archs, epochs, row) for row in seeds]
 
     return run

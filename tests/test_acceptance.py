@@ -34,7 +34,7 @@ from relufreq import (
 )
 from relufreq.cli import run
 from relufreq.multitone import DatasetSpec
-from relufreq.relu_taylor import TaylorConfig, approximate_relu
+from relufreq.relu_taylor import approximate_relu
 from relufreq.convnets import make_prototype_stack, run_prototype
 from relufreq.trainer import (
     Architecture,
@@ -130,7 +130,7 @@ def test_c04_approximation_experiment(tmp_path, capsys):
     inside = np.abs(fluct.samples) < 0.99
     medians = []
     for terms in (5, 10, 25, 50):
-        approx, _ = approximate_relu(PROBE, fs, duration, TaylorConfig(terms))
+        approx, _ = approximate_relu(PROBE, fs, duration, terms)
         medians.append(
             float(np.median(np.abs(approx.samples - target.samples)[inside]))
         )

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import hashlib
@@ -12,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import relufreq
 from relufreq import cli, trainer
-from relufreq.cli import RunManifest, _curve_table, emit_csv, emit_manifest, run
+from relufreq.cli import _curve_table, emit_csv, emit_manifest, run
 from relufreq.multitone import DatasetSpec, ProbeSpec, sample_dataset
-from relufreq.relu_taylor import TaylorConfig
 from relufreq.spectral import spectrum
 from relufreq.trainer import Architecture, ConvLayerSpec, default_dataset_spec, run_comparison
 
@@ -133,21 +134,28 @@ def test_emit_csv_equals_a_per_cell_format(table):
 
 class TestEmitManifest:
     def test_byte_identical_for_same_config(self, tmp_path):
-        manifest = RunManifest(
-            command="demo",
-            full_config={"alpha": 1e-4, "ids": [1, 2, 3]},
-            seed=7,
-            tool_version="0.1.0",
-            output_files=["a.csv"],
-            results={"value": 0.5},
-        )
+        manifest = {
+            "command": "demo",
+            "full_config": {"alpha": 1e-4, "ids": [1, 2, 3]},
+            "seed": 7,
+            "tool_version": "0.1.0",
+            "output_files": ["a.csv"],
+            "results": {"value": 0.5},
+        }
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         emit_manifest(str(p1), cli._render_json(manifest))
         emit_manifest(str(p2), cli._render_json(manifest))
         assert read(p1) == read(p2)
 
     def test_seed_echoed_and_keys_sorted(self, tmp_path):
-        manifest = RunManifest("demo", {"z": 1, "a": 2}, 42, "0.1.0", [])
+        manifest = {
+            "command": "demo",
+            "full_config": {"z": 1, "a": 2},
+            "seed": 42,
+            "tool_version": "0.1.0",
+            "output_files": [],
+            "results": {},
+        }
         path = tmp_path / "m.json"
         emit_manifest(str(path), cli._render_json(manifest))
         payload = json.loads(read(path))
@@ -191,6 +199,8 @@ class TestDispatcher:
             ["approx", "--duration", "1e-9"],
             # the flag and the value given, not the empty amplitude tuple it makes
             ["approx", "--harmonics", "-1"],
+            # named before any synthesis, as --harmonics is
+            ["approx", "--terms", "0"],
         ],
     )
     def test_invalid_input_exits_1_and_writes_no_csv(self, argv, tmp_path, capsys):
@@ -204,6 +214,8 @@ class TestDispatcher:
             assert "duration 1e-09 s at sample_rate 1024.0 Hz" in captured.err
         if "--harmonics" in argv:
             assert "--harmonics must be >= 1, got -1" in captured.err
+        if "--terms" in argv:
+            assert "--terms must be >= 1, got 0" in captured.err
         assert captured.out == ""
         assert not list(out.glob("*.csv"))
 
@@ -283,6 +295,37 @@ class TestDispatcher:
         capsys.readouterr()
         listed = json.loads(read(out / "manifest.json"))["output_files"]
         assert sorted(listed + ["manifest.json"]) == sorted(p.name for p in out.iterdir())
+
+
+# one cheap invocation of every subcommand that writes a manifest
+MANIFEST_INVOCATIONS = {
+    "approx": ["approx", "--harmonics", "1", "--fs", "64"],
+    "proto": ["proto", "--kind", "avg", "--depth", "2"],
+    "heart-demo": ["heart-demo"],
+    "train-compare": ["train-compare", "--reps", "1", "--epochs", "0"],
+    "zero-train": ["zero-train"],
+}
+
+
+def test_manifest_invocations_cover_every_writing_subcommand():
+    (subparsers,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == set(MANIFEST_INVOCATIONS) | PRINT_ONLY
+
+
+@pytest.mark.parametrize("command", MANIFEST_INVOCATIONS)
+def test_manifest_has_exactly_the_six_keys(command, tmp_path, capsys):
+    """The manifest schema: no key missing or added, and the package's own version."""
+    assert run(MANIFEST_INVOCATIONS[command] + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads(read(tmp_path / "manifest.json"))
+    keys = ["command", "full_config", "output_files", "results", "seed", "tool_version"]
+    assert sorted(manifest) == keys
+    assert manifest["command"] == command
+    assert manifest["tool_version"] == relufreq.__version__
 
 
 def _fail_on_constant(name):
@@ -589,7 +632,7 @@ def test_manifest_probe_and_stack_rebuild_what_ran(argv, tmp_path, monkeypatch, 
     config = json.loads(read(tmp_path / "manifest.json"))["full_config"]
     x = ProbeSpec(**config["probe"]).signal()
     if argv[0] == "approx":
-        assert TaylorConfig(**config["taylor"]) == TaylorConfig()
+        assert config["taylor"] == {"n_terms": 50}
         written, expected = csv_columns(tmp_path / "approx_time.csv")["x"], x.samples
     else:
         (stack,) = stacks
@@ -810,10 +853,10 @@ def test_importing_the_cli_loads_no_process_pool():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, sequential_repetitions):
     """Each row's median and quartiles equal numpy's on that cell's per-repetition values."""
-    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 8, 64.0, 1.0)
+    spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 12, 64.0, 1.0)  # batches of 32 and 4 rows
     epochs = 2
-    nets = run_comparison(3, seed, epochs=epochs, batch_size=8, dataset_spec=spec)
-    reps = sequential_repetitions(3, seed, epochs, 8, spec)
+    nets = run_comparison(3, seed, epochs=epochs, dataset_spec=spec)
+    reps = sequential_repetitions(3, seed, epochs, spec)
     by_net = {name: [rep[name] for rep in reps] for name in nets}
 
     def cell(values):
@@ -895,6 +938,8 @@ def test_artifacts_match_recorded_digests(argv, tmp_path, capsys):
 
 def reference_jsonable(value):
     """The manifest serializer's former explicit type dispatch: the reference for _render_json."""
+    if is_dataclass(value):
+        return reference_jsonable(asdict(value))
     if isinstance(value, dict):
         return {str(k): reference_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -932,9 +977,9 @@ def test_manifest_json_equals_the_reference_serializer(argv, tmp_path, monkeypat
     monkeypatch.setattr(cli, "_render_json", recording_render)
     assert run(argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    (manifest,) = [payload for payload in rendered if isinstance(payload, RunManifest)]
-    json_files = [name for name in manifest.output_files if name.endswith(".json")]
+    (manifest,) = [payload for payload in rendered if "output_files" in payload]
+    json_files = [name for name in manifest["output_files"] if name.endswith(".json")]
     assert len(rendered) == 1 + len(json_files)
-    reference = reference_jsonable(asdict(manifest))
+    reference = reference_jsonable(manifest)
     text = json.dumps(reference, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert read(tmp_path / "manifest.json").decode("utf-8") == text

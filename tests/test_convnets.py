@@ -180,6 +180,12 @@ class TestRunPrototype:
         with pytest.raises(ValueError, match="depth must be an integer >= 1"):
             make_prototype_stack("differentiator", depth=depth)
 
+    @pytest.mark.parametrize("avg_len", [2.5, 2.0, "3", 0])
+    def test_avg_len_must_be_an_integer_from_1(self, avg_len):
+        """2.5 once reached np.ones and raised a raw TypeError."""
+        with pytest.raises(ValueError, match="avg_len must be an integer >= 1"):
+            make_prototype_stack("moving_average", avg_len=avg_len)
+
     def test_numpy_integer_depth_is_stored_as_int(self):
         stack = make_prototype_stack("differentiator", depth=np.int64(3))
         assert type(stack.depth) is int and stack.depth == 3

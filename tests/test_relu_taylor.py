@@ -11,7 +11,6 @@ from relufreq import (
     DivergenceError,
     MultiTone,
     Signal,
-    TaylorConfig,
     approximate_relu,
     convergence_report,
     dc_model,
@@ -182,6 +181,12 @@ class TestCoefficients:
         assert np.all(np.isfinite(coeffs))
         assert abs(coeffs[199]) < abs(coeffs[100]) < abs(coeffs[10])
 
+    @pytest.mark.parametrize("n_terms", [2.5, 2.0, "3", 0, -1])
+    def test_n_terms_must_be_an_integer_from_1(self, n_terms):
+        """2.5 once reached np.empty and raised a raw TypeError."""
+        with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+            sqrt_taylor_coefficients(n_terms)
+
 
 class TestSeries:
     def test_matches_sqrt_inside_radius(self):
@@ -243,16 +248,16 @@ class TestApproximateRelu:
         assert inside.any()
         medians = []
         for terms in (5, 10, 25, 50):
-            approx, _ = approximate_relu(tones, fs, duration, TaylorConfig(terms))
+            approx, _ = approximate_relu(tones, fs, duration, terms)
             medians.append(np.median(np.abs(approx.samples - target.samples)[inside]))
         assert medians[0] > medians[1] > medians[2] > medians[3]
         # well inside the radius the 50-term sum is essentially exact
         tight = np.abs(fluct.samples) <= 0.9
-        approx, _ = approximate_relu(tones, fs, duration, TaylorConfig(50))
+        approx, _ = approximate_relu(tones, fs, duration, 50)
         assert np.abs(approx.samples - target.samples)[tight].max() < 1e-3
 
     def test_probe_report_flags_divergence(self):
-        _, report = approximate_relu(PROBE, 1024.0, 1.0, TaylorConfig(50))
+        _, report = approximate_relu(PROBE, 1024.0, 1.0, 50)
         assert report.max_abs_fluctuation == pytest.approx(7.0, abs=1e-9)
         assert report.fraction_violating > 0.0
 
@@ -267,7 +272,7 @@ class TestApproximateRelu:
 
         def error_and_report(scale):
             tones = MultiTone(PROBE.frequencies, PROBE.amplitudes * scale)
-            approx, report = approximate_relu(tones, 1024.0, 1.0, TaylorConfig(terms))
+            approx, report = approximate_relu(tones, 1024.0, 1.0, terms)
             return rrmse(relu(synthesize(tones, 1024.0, 1.0)), approx), report
 
         error, report = error_and_report(1.0)
@@ -286,7 +291,12 @@ class TestApproximateRelu:
         for exponent in range(300, 309):
             tones = MultiTone(PROBE.frequencies, PROBE.amplitudes * 10.0**exponent)
             with pytest.raises(DivergenceError, match="50-term series is not finite"):
-                approximate_relu(tones, 1024.0, 1.0, TaylorConfig(50))
+                approximate_relu(tones, 1024.0, 1.0, 50)
+
+    @pytest.mark.parametrize("n_terms", [2.5, 0])
+    def test_n_terms_must_be_an_integer_from_1(self, n_terms):
+        with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+            approximate_relu(PROBE, 1024.0, 1.0, n_terms)
 
     @pytest.mark.parametrize("amplitude", [1e-320, 1e-310])
     def test_amplitude_below_the_normal_range_after_prescale_raises(self, amplitude):
@@ -300,7 +310,7 @@ class TestApproximateRelu:
         # even multiples of f (the fluctuation's harmonics)
         f0, fs = 1.0, 1024.0
         tones = MultiTone([f0], [1.0])
-        approx, _ = approximate_relu(tones, fs, 1.0, TaylorConfig(50))
+        approx, _ = approximate_relu(tones, fs, 1.0, 50)
         mags = np.abs(spectrum(approx).bins)
         half = len(mags) // 2
         allowed = {0, 1}

@@ -145,6 +145,12 @@ class TestSizes:
             init_network(replace(arch, hidden_units=16.0), 0)
         assert init_network(arch, 0).theta.shape == (trainer._layout(arch)[0],)
 
+    @pytest.mark.parametrize("layer", [(2, 3), None, {"filters": 2, "kernel_size": 3}])
+    def test_conv_layers_must_be_conv_layer_specs(self, layer):
+        """A tuple or None once raised a raw AttributeError from the kernel-size check."""
+        with pytest.raises(ValueError, match="conv_layers must be one or more ConvLayerSpecs"):
+            Architecture([layer], 4, 2, 8)
+
     def test_a_list_of_conv_layers_is_stored_as_a_tuple(self):
         """A list once constructed, then failed in _layout's cache as unhashable."""
         arch = Architecture([ConvLayerSpec(2, 3)], 4, 2, 8)
@@ -882,10 +888,14 @@ def test_training_holds_no_more_than_a_few_batches(activation):
     assert peak < 4 * 2**20
 
 
+# 40 rows: each epoch trains one full batch of BATCH_SIZE (32) and a ragged last batch of 8
+RAGGED_SPEC = DatasetSpec((3.0, 5.0), 0.1, 20, 64.0, 1.0)
+
+
 class TestRunComparison:
     def test_single_repetition_equals_its_record(self):
         spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 12, 64.0, 1.0)
-        nets = run_comparison(1, 0, epochs=2, batch_size=8, dataset_spec=spec)
+        nets = run_comparison(1, 0, epochs=2, dataset_spec=spec)
         for net in nets.values():
             assert net.curves["loss"].shape == (1, 2)
             median, q25, q75 = _quartiles(net.curves["loss"])
@@ -896,7 +906,7 @@ class TestRunComparison:
 
     def test_zero_epochs_leave_final_losses_empty(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, 4, 64.0, 1.0)
-        nets = run_comparison(1, 0, epochs=0, batch_size=8, dataset_spec=spec)
+        nets = run_comparison(1, 0, epochs=0, dataset_spec=spec)
         for net in nets.values():
             assert net.final_losses.size == 0
             assert net.curves["loss"].shape == (1, 0)
@@ -908,9 +918,8 @@ class TestRunComparison:
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_stacked_finals_equal_the_per_repetition_records(self, epochs, sequential_repetitions):
         """Row r of a stacked record's finals is repetition r's own record's finals."""
-        spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
-        nets = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
-        reps = sequential_repetitions(3, 4, epochs, 4, spec)
+        nets = run_comparison(3, 4, epochs=epochs, dataset_spec=RAGGED_SPEC)
+        reps = sequential_repetitions(3, 4, epochs, RAGGED_SPEC)
         for name, net in nets.items():
             recs = [rep[name] for rep in reps]
             assert len(recs) == 3
@@ -920,9 +929,8 @@ class TestRunComparison:
                 assert net.final_accuracy[row] == rec.final_accuracy
 
     def test_deterministic_given_base_seed(self):
-        spec = DatasetSpec((3.0, 5.0), 0.1, 8, 64.0, 1.0)
-        a = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
-        b = run_comparison(2, 5, epochs=1, batch_size=8, dataset_spec=spec)
+        a = run_comparison(2, 5, epochs=1, dataset_spec=RAGGED_SPEC)
+        b = run_comparison(2, 5, epochs=1, dataset_spec=RAGGED_SPEC)
         for name in a:
             assert np.array_equal(a[name].curves["loss"], b[name].curves["loss"])
             assert np.array_equal(a[name].final_conv_distances, b[name].final_conv_distances)
@@ -932,13 +940,13 @@ class TestRunComparison:
         [
             ((0, 0), "n_repetitions must be >= 1"),
             ((1, 0, -1), "epochs must be >= 0"),
-            ((2, 0, 1, 0), "batch_size must be >= 1"),
+            ((-1, 0), "n_repetitions must be >= 1"),
             # DEFAULT_DC_LEVELS has no offset for a fourth class
-            ((1, 0, 1, 8, DatasetSpec((3.0, 5.0, 10.0, 12.0), 0.1, 2, 64.0, 1.0)), r"\[3\]"),
+            ((1, 0, 1, DatasetSpec((3.0, 5.0, 10.0, 12.0), 0.1, 2, 64.0, 1.0)), r"\[3\]"),
             # specs that _comparison_architecture cannot take, with and without a pool
-            ((1, 0, 1, 8, DatasetSpec((3.0,), 0.1, 2, 64.0, 1.0)), "n_classes must be an integer"),
+            ((1, 0, 1, DatasetSpec((3.0,), 0.1, 2, 64.0, 1.0)), "n_classes must be an integer"),
             (
-                (2, 0, 1, 8, DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 4 / 64)),
+                (2, 0, 1, DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 4 / 64)),
                 "input_length shorter than a conv kernel",
             ),
         ],
@@ -967,11 +975,10 @@ class TestRunComparison:
         # two workers even on a one-core machine, and never more
         monkeypatch.setattr(trainer, "_worker_count", lambda n: min(n, 2))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
-        spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
-        nets = run_comparison(3, 4, epochs=epochs, batch_size=4, dataset_spec=spec)
+        nets = run_comparison(3, 4, epochs=epochs, dataset_spec=RAGGED_SPEC)
         assert pools == [2]
         assert multiprocessing.active_children() == []
-        assert_same_bits(nets, sequential_repetitions(3, 4, epochs, 4, spec))
+        assert_same_bits(nets, sequential_repetitions(3, 4, epochs, RAGGED_SPEC))
 
     def test_one_worker_trains_in_this_process(self, monkeypatch, sequential_repetitions):
         """With one worker, as on a one-core machine, no pool is made and nothing forks."""
@@ -982,9 +989,8 @@ class TestRunComparison:
         monkeypatch.setattr(trainer, "_worker_count", lambda n: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
         monkeypatch.setattr(os, "fork", no_fork)
-        spec = DatasetSpec((3.0, 5.0), 0.1, 6, 64.0, 1.0)
-        nets = run_comparison(3, 4, epochs=2, batch_size=4, dataset_spec=spec)
-        assert_same_bits(nets, sequential_repetitions(3, 4, 2, 4, spec))
+        nets = run_comparison(3, 4, epochs=2, dataset_spec=RAGGED_SPEC)
+        assert_same_bits(nets, sequential_repetitions(3, 4, 2, RAGGED_SPEC))
 
 
 def test_linear_dc_trains_on_the_one_drawn_set_plus_its_class_offsets(monkeypatch):
@@ -1004,7 +1010,7 @@ def test_linear_dc_trains_on_the_one_drawn_set_plus_its_class_offsets(monkeypatc
     monkeypatch.setattr(trainer, "sample_dataset", counting_sample)
     monkeypatch.setattr(trainer, "train", recording_train)
     spec = DatasetSpec((3.0, 5.0, 10.0), 0.1, 4, 64.0, 1.0)
-    run_comparison(2, 7, epochs=0, batch_size=8, dataset_spec=spec)
+    run_comparison(2, 7, epochs=0, dataset_spec=spec)
     seeds = np.random.Generator(np.random.PCG64(7)).integers(0, 2**31 - 1, size=(2, 7))
     assert draws == seeds[:, 0].tolist()
     assert len(trainsets) == 2 * len(trainer.VARIANTS)
