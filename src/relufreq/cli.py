@@ -30,9 +30,7 @@ from .trainer import (
     BATCH_SIZE,
     DEFAULT_DC_LEVELS,
     SEED_DERIVATION,
-    VARIANTS,
     TrainingRecord,
-    _comparison_architecture,
     default_dataset_spec,
     run_comparison,
     zero_train_eval,
@@ -56,6 +54,11 @@ ZERO_TRAIN_SPEC = DatasetSpec(
 )
 DEFAULT_ZERO_KERNEL = (0.6, 0.4)
 RESPONSE_POINTS = 257
+
+# The least value of every integer flag, checked by run() before any subcommand
+# runs. --avg-len is not here: it applies only to --kind avg, which checks it.
+FLAG_MINIMUMS = {"--n": 1, "--harmonics": 1, "--terms": 1, "--depth": 1, "--reps": 1,
+                 "--epochs": 0, "--seed": 0}
 
 
 @dataclass
@@ -172,16 +175,11 @@ def _parse_kernel(text: str):
 def _cmd_coeffs(args) -> None:
     from .relu_taylor import sqrt_taylor_coefficients
 
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     for c in sqrt_taylor_coefficients(args.n):
         print("%.17g" % c)
 
 
 def _cmd_approx(args) -> Artifacts:
-    for flag, value in (("--harmonics", args.harmonics), ("--terms", args.terms)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
     # the top harmonic first, so an aliased count fails before any per-harmonic allocation
     _check_below_nyquist(np.array([args.f0 * args.harmonics]), args.fs)
     probe = ProbeSpec(args.f0, (1.0,) * args.harmonics, args.fs, args.duration)
@@ -305,13 +303,8 @@ def _curve_table(
 
 
 def _cmd_train_compare(args) -> Artifacts:
-    flags = (("--reps", args.reps, 1), ("--epochs", args.epochs, 0), ("--seed", args.seed, 0))
-    for flag, value, low in flags:
-        if value < low:
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
     spec = default_dataset_spec()
     nets = run_comparison(args.reps, args.seed, epochs=args.epochs, dataset_spec=spec)
-    archs = {name: _comparison_architecture(act, spec) for name, (act, _) in VARIANTS.items()}
     results: Dict[str, object] = {}
     for name, net in nets.items():
         results[name] = {
@@ -326,7 +319,7 @@ def _cmd_train_compare(args) -> Artifacts:
             "epochs": args.epochs,
             "batch_size": BATCH_SIZE,
             "adam": ADAM,
-            "architectures": archs,
+            "architectures": {name: net.architecture for name, net in nets.items()},
             "dataset": spec,
             "dc_levels": DEFAULT_DC_LEVELS,
             "networks": list(nets),
@@ -344,8 +337,6 @@ def _cmd_train_compare(args) -> Artifacts:
 
 def _cmd_zero_train(args) -> Artifacts:
     seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
     dataset_seed = seed + 1
     dataset = sample_dataset(ZERO_TRAIN_SPEC, dataset_seed)
     if args.seed is not None:
@@ -454,6 +445,10 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag, low in FLAG_MINIMUMS.items():
+            value = getattr(args, flag[2:], None)
+            if value is not None and value < low:
+                raise ValueError(f"{flag} must be >= {low}, got {value}")
         artifacts = args.func(args)
         if artifacts is not None:
             _write_artifacts(args.out, args.subcommand, artifacts)

@@ -44,6 +44,11 @@ class PrototypeStack:
         if self.kind not in (DIFFERENTIATOR, MOVING_AVERAGE):
             raise ValueError(f"unknown stack kind {self.kind!r}")
         _store_sizes(self, depth=1)
+        if self.pool is not None:
+            if not (isinstance(self.pool, (tuple, list)) and len(self.pool) == 2):
+                raise ValueError(f"pool must be a (width, stride) pair, got {self.pool!r}")
+            pool = tuple(_size(f"pool {n}", v, 1) for n, v in zip(("width", "stride"), self.pool))
+            object.__setattr__(self, "pool", pool)
 
 
 def make_prototype_stack(
@@ -87,8 +92,7 @@ def fir_response(kernel: Kernel, frequencies: Sequence[float], sample_rate: floa
 
 def avg_pool(signal: Signal, width: int, stride: int) -> Signal:
     """Windowed means with the given stride; the sample rate drops by the stride."""
-    if width < 1 or stride < 1:
-        raise ValueError("width and stride must be >= 1")
+    width, stride = _size("width", width, 1), _size("stride", stride, 1)
     n = len(signal)
     if width > n:
         raise ValueError("pool width longer than signal")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .convnets import Kernel, fir_response
 from .errors import DegenerateInputError, DivergenceError
-from .multitone import DatasetSpec, LabeledSet, _store_sizes, sample_dataset
+from .multitone import DatasetSpec, LabeledSet, _size, _store_sizes, sample_dataset
 
 RELU = "relu"
 LINEAR = "linear"
@@ -108,18 +108,19 @@ class AdamState:
 
 @dataclass
 class TrainingRecord:
-    """Named per-epoch curves of one training run, plus its final accuracy.
+    """Named per-epoch curves of one training run, its final accuracy and what it trained.
 
     curves["loss"] (E,) is the mean batch loss of epochs 1..E, and
     curves["distance"] (n_conv, E + 1) each conv layer's distance from its
     initial weights at epochs 0..E (0 at initialization). final_accuracy is
     the training-set accuracy after the last epoch, in batch_size slices.
-    Records stacked over repetitions give every array, final_accuracy's ()
-    included, a leading (reps,) axis.
+    architecture is the trained network's. Records stacked over repetitions
+    give every array, final_accuracy's () included, a leading (reps,) axis.
     """
 
     curves: Dict[str, np.ndarray]
     final_accuracy: np.ndarray
+    architecture: Architecture
 
     @property
     def final_losses(self) -> np.ndarray:
@@ -392,10 +393,8 @@ def train(
     """
     if len(trainset) == 0:
         raise ValueError("trainset must be non-empty")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    epochs = _size("epochs", epochs, 0)
+    batch_size = _size("batch_size", batch_size, 1)
     x, y = trainset.inputs, trainset.labels
     rng = np.random.Generator(np.random.PCG64(seed))
     arch = net.architecture
@@ -422,7 +421,7 @@ def train(
         curves["distance"][:, epoch] = weight_distance(arch, theta0, current.theta)[:n_conv]
     starts = range(0, y.size, batch_size)
     logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
-    return TrainingRecord(curves, np.mean(np.argmax(logits, axis=1) == y))
+    return TrainingRecord(curves, np.mean(np.argmax(logits, axis=1) == y), arch)
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +503,18 @@ def run_comparison(
     base_seed (see SEED_DERIVATION), so repetitions are independent and the
     result is reproducible. Every variant trains with the Adam settings ADAM
     in mini-batches of BATCH_SIZE.
-    The DC variant adds the DEFAULT_DC_LEVELS of the spec's classes. A missing
-    level or a spec the architectures reject raises ValueError before any work.
+    The DC variant adds the DEFAULT_DC_LEVELS of the spec's classes. A count
+    that is not an integer at its minimum or above, a missing level or a spec
+    the architectures reject raises ValueError before any work.
 
     Repetitions train in forked workers (see _worker_count), which start with
     this process's modules as they are; one worker trains here, unforked. Each
     variant's records are stacked in row order into one TrainingRecord, so the
     returned {variant: TrainingRecord} does not depend on the worker count.
     """
-    if n_repetitions < 1:
-        raise ValueError("n_repetitions must be >= 1")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+    n_repetitions = _size("n_repetitions", n_repetitions, 1)
+    base_seed = _size("base_seed", base_seed, 0)
+    epochs = _size("epochs", epochs, 0)
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     missing = [c for c in range(spec.n_classes) if c not in DEFAULT_DC_LEVELS]
     if missing:
@@ -541,7 +540,8 @@ def run_comparison(
     for name in VARIANTS:
         records = [rep[name] for rep in reps]
         curves = {c: np.stack([r.curves[c] for r in records]) for c in records[0].curves}
-        nets[name] = TrainingRecord(curves, np.array([r.final_accuracy for r in records]))
+        accuracy = np.array([r.final_accuracy for r in records])
+        nets[name] = TrainingRecord(curves, accuracy, records[0].architecture)
     return nets
 
 

@@ -850,6 +850,72 @@ def test_importing_the_cli_loads_no_process_pool():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def subparsers():
+    """{subcommand: its parser} of the CLI's cached parser."""
+    actions = cli._build_parser()._actions
+    (action,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coeffs"], "--n"),
+        (["approx"], "--harmonics"),
+        (["approx"], "--terms"),
+        (["proto", "--kind", "dif"], "--depth"),
+        (["train-compare"], "--reps"),
+        (["train-compare"], "--epochs"),
+        (["train-compare"], "--seed"),
+        (["zero-train"], "--seed"),
+    ],
+)
+def test_a_flag_below_its_minimum_exits_1_before_any_work(
+    argv, flag, tmp_path, monkeypatch, capsys
+):
+    """run() checks FLAG_MINIMUMS before the subcommand starts, so nothing is drawn or forked."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an invalid flag")
+
+    monkeypatch.setitem(subparsers()[argv[0]]._defaults, "func", no_work)
+    monkeypatch.setattr(trainer, "sample_dataset", no_work)
+    monkeypatch.setattr(cli, "sample_dataset", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.chdir(tmp_path)
+    low = cli.FLAG_MINIMUMS[flag]
+    out = [] if argv[0] == "coeffs" else ["--out", str(tmp_path / "bad")]
+    assert run([*argv, flag, str(low - 1), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: {flag} must be >= {low}, got {low - 1}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_every_integer_flag_has_a_minimum():
+    """A new count flag cannot skip run()'s check.
+
+    --avg-len is the one exception: it applies only to --kind avg, so
+    make_prototype_stack checks it, and proto --kind dif ignores any value.
+    """
+    int_flags = {
+        action.option_strings[0]: action.dest
+        for parser in subparsers().values()
+        for action in parser._actions
+        if action.type is int
+    }
+    assert set(int_flags) - set(cli.FLAG_MINIMUMS) == {"--avg-len"}
+    # run() reads each value under the flag's name without its dashes
+    assert all(int_flags.get(flag) == flag[2:] for flag in cli.FLAG_MINIMUMS)
+
+
+def test_avg_len_is_checked_only_for_the_moving_average(tmp_path, capsys):
+    assert run(["proto", "--kind", "dif", "--avg-len", "-2", "--out", str(tmp_path / "d")]) == 0
+    assert run(["proto", "--kind", "avg", "--avg-len", "-2", "--out", str(tmp_path / "a")]) == 1
+    assert "avg_len must be an integer >= 1, got -2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_curve_tables_equal_a_per_cell_loop_over_the_records(seed, sequential_repetitions):
     """Each row's median and quartiles equal numpy's on that cell's per-repetition values."""

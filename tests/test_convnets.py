@@ -128,6 +128,19 @@ class TestAvgPool:
         with pytest.raises(ValueError):
             avg_pool(sig, 5, 1)
 
+    @pytest.mark.parametrize(
+        "width, stride, message",
+        [
+            (2.5, 1, "width must be an integer >= 1, got 2.5"),
+            (2, 1.0, "stride must be an integer >= 1, got 1.0"),
+            ("2", 1, "width must be an integer >= 1, got '2'"),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, width, stride, message):
+        """2.5 once reached sliding_window_view and raised a raw TypeError."""
+        with pytest.raises(ValueError, match=message):
+            avg_pool(Signal(np.ones(4), 4.0), width, stride)
+
     def test_tone_below_new_nyquist_survives_with_window_attenuation(self):
         # width-2 window gain at f is |cos(pi f / fs)|
         sig = synthesize(MultiTone([5.0], [1.0]), 64.0, 1.0)
@@ -185,6 +198,27 @@ class TestRunPrototype:
         """2.5 once reached np.ones and raised a raw TypeError."""
         with pytest.raises(ValueError, match="avg_len must be an integer >= 1"):
             make_prototype_stack("moving_average", avg_len=avg_len)
+
+    @pytest.mark.parametrize(
+        "pool, message",
+        [
+            # each once reached run_prototype and raised a raw TypeError,
+            # IndexError, TypeError and ValueError respectively
+            ((2.5, 2), "pool width must be an integer >= 1, got 2.5"),
+            ((2,), r"pool must be a \(width, stride\) pair, got \(2,\)"),
+            (("2", 2), "pool width must be an integer >= 1, got '2'"),
+            ((0, 1), "pool width must be an integer >= 1, got 0"),
+            ((2, 0), "pool stride must be an integer >= 1, got 0"),
+            (2, r"pool must be a \(width, stride\) pair, got 2"),
+        ],
+    )
+    def test_pool_must_be_a_pair_of_integers_from_1(self, pool, message):
+        with pytest.raises(ValueError, match=message):
+            make_prototype_stack("moving_average", avg_len=2, pool=pool)
+
+    def test_pool_is_stored_as_a_tuple_of_ints(self):
+        stack = make_prototype_stack("moving_average", avg_len=2, pool=[np.int64(2), 3])
+        assert stack.pool == (2, 3) and all(type(n) is int for n in stack.pool)
 
     def test_numpy_integer_depth_is_stored_as_int(self):
         stack = make_prototype_stack("differentiator", depth=np.int64(3))

@@ -792,6 +792,20 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_network(self.arch, 0), toy_separable_set(), -1, 8)
 
+    @pytest.mark.parametrize(
+        "epochs, batch_size, message",
+        [
+            (2.5, 8, "epochs must be an integer >= 0, got 2.5"),
+            (1, 2.5, "batch_size must be an integer >= 1, got 2.5"),
+            ("1", 8, "epochs must be an integer >= 0, got '1'"),
+            (1, 0, "batch_size must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_counts_must_be_integers(self, epochs, batch_size, message):
+        """The first three once raised a raw TypeError."""
+        with pytest.raises(ValueError, match=message):
+            train(init_network(self.arch, 0), toy_separable_set(), epochs, batch_size)
+
     def test_non_finite_loss_names_epoch_and_batch(self, monkeypatch):
         # the first batch's loss is taken before any update; the step of
         # size ~lr after it overflows every logit
@@ -825,6 +839,7 @@ class TestTrain:
         for name in a.curves:
             assert np.array_equal(a.curves[name], b.curves[name])
         assert a.final_accuracy == b.final_accuracy
+        assert a.architecture == b.architecture == self.arch
         assert a.curves["loss"].shape == (4,)
         assert a.curves["distance"].shape == (1, 5)
 
@@ -938,9 +953,9 @@ class TestRunComparison:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0, 0), "n_repetitions must be >= 1"),
-            ((1, 0, -1), "epochs must be >= 0"),
-            ((-1, 0), "n_repetitions must be >= 1"),
+            ((0, 0), "n_repetitions must be an integer >= 1, got 0"),
+            ((1, 0, -1), "epochs must be an integer >= 0, got -1"),
+            ((-1, 0), "n_repetitions must be an integer >= 1, got -1"),
             # DEFAULT_DC_LEVELS has no offset for a fourth class
             ((1, 0, 1, DatasetSpec((3.0, 5.0, 10.0, 12.0), 0.1, 2, 64.0, 1.0)), r"\[3\]"),
             # specs that _comparison_architecture cannot take, with and without a pool
@@ -949,6 +964,11 @@ class TestRunComparison:
                 (2, 0, 1, DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 4 / 64)),
                 "input_length shorter than a conv kernel",
             ),
+            # counts that are not integers once raised a raw TypeError
+            ((2.5, 0), "n_repetitions must be an integer >= 1, got 2.5"),
+            ((1, 0.5), "base_seed must be an integer >= 0, got 0.5"),
+            ((1, 0, 1.5), "epochs must be an integer >= 0, got 1.5"),
+            ((1, -1), "base_seed must be an integer >= 0, got -1"),
         ],
     )
     def test_bad_counts_fail_before_any_work(self, args, message, monkeypatch):
@@ -979,6 +999,14 @@ class TestRunComparison:
         assert pools == [2]
         assert multiprocessing.active_children() == []
         assert_same_bits(nets, sequential_repetitions(3, 4, epochs, RAGGED_SPEC))
+
+    def test_records_carry_the_architectures_that_trained(self):
+        """Each stacked record names its variant's network for this spec, not the default's."""
+        nets = run_comparison(2, 0, epochs=0, dataset_spec=RAGGED_SPEC)
+        for name, (activation, _) in trainer.VARIANTS.items():
+            arch = _comparison_architecture(activation, RAGGED_SPEC)
+            assert arch != _comparison_architecture(activation, default_dataset_spec())
+            assert nets[name].architecture == arch
 
     def test_one_worker_trains_in_this_process(self, monkeypatch, sequential_repetitions):
         """With one worker, as on a one-core machine, no pool is made and nothing forks."""
@@ -1033,6 +1061,7 @@ def assert_same_bits(nets, reps):
         pairs = [(net.curves[c], np.stack([r.curves[c] for r in records])) for c in net.curves]
         pairs.append((net.final_accuracy, np.array([r.final_accuracy for r in records])))
         assert net.curves.keys() == records[0].curves.keys()
+        assert all(r.architecture == net.architecture for r in records)
         for got, want in pairs:
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
