@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .multitone import Signal, _size, _store_sizes
+from .multitone import Signal, _check_rate, _size, _store_sizes
 from .relu_taylor import relu
 
 DIFFERENTIATOR = "differentiator"
@@ -80,8 +80,7 @@ def conv1d(signal: Signal, kernel: Kernel) -> Signal:
 def fir_response(kernel: Kernel, frequencies: Sequence[float], sample_rate: float) -> np.ndarray:
     """Gain of the kernel's frequency response at each frequency."""
     freqs = np.asarray(frequencies, dtype=float)
-    if not 0 < sample_rate < math.inf:
-        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    _check_rate(sample_rate)
     if not np.all((freqs >= 0) & (freqs <= sample_rate / 2.0)):
         raise ValueError("frequencies must lie in [0, Nyquist]")
     n = np.arange(kernel.taps.size)

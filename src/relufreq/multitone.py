@@ -12,17 +12,29 @@ import numpy as np
 from .errors import AliasingError, EmptyToneError
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _size(name: str, value, low: int) -> int:
     """value as an int >= low; numpy integers pass, 2.0 and "3" do not."""
     if not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return operator.index(value)
+
+
+def _generator(name: str, seed) -> np.random.Generator:
+    """The PCG64 stream of a seed that _size takes as an integer >= 0; None is rejected."""
+    return np.random.Generator(np.random.PCG64(_size(name, seed, 0)))
+
+
+def _check_rate(sample_rate: float) -> None:
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+
+
+def _sample_count(sample_rate: float, duration: float) -> int:
+    """round(duration * sample_rate), once the rate and the duration are finite and > 0."""
+    _check_rate(sample_rate)
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
+    return int(round(duration * sample_rate))
 
 
 def _store_sizes(spec, **minimums: int) -> None:
@@ -70,8 +82,7 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        _check_rate(self.sample_rate)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -98,23 +109,19 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         means = tuple(float(m) for m in self.class_means)
         object.__setattr__(self, "class_means", means)
-        _require_finite(
-            freq_std=self.freq_std, sample_rate=self.sample_rate, duration=self.duration
-        )
+        _sample_count(self.sample_rate, self.duration)  # a grid of 0 samples fails at sampling
+        if not 0 <= self.freq_std < math.inf:
+            raise ValueError(f"freq_std must be finite and >= 0, got {self.freq_std}")
         if not all(math.isfinite(m) for m in means):
             raise ValueError("class_means must be finite")
         if not means:
             raise ValueError("class_means must be non-empty")
         if any(b <= a for a, b in zip(means, means[1:])):
             raise ValueError("class_means must be strictly increasing")
-        if self.freq_std < 0:
-            raise ValueError("freq_std must be >= 0")
         nyquist = self.sample_rate / 2.0
         if any(m + 3.0 * self.freq_std >= nyquist for m in means):
             raise ValueError("class means within 3 sigma of Nyquist; reduce means or raise sample_rate")
         _store_sizes(self, samples_per_class=1)
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
 
     @property
     def n_classes(self) -> int:
@@ -168,8 +175,7 @@ class LabeledSet:
             self.frequencies = np.asarray(self.frequencies, dtype=float)
             if self.frequencies.shape != self.labels.shape:
                 raise ValueError("frequencies must match inputs in length")
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        _check_rate(self.sample_rate)
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -179,9 +185,6 @@ def synthesize(tones: MultiTone, sample_rate: float, duration: float) -> Signal:
     """Render a multi-tone on a uniform grid of round(duration*sample_rate) samples."""
     if not tones.frequencies.size:
         raise EmptyToneError("cannot synthesize a multi-tone with no tones")
-    _require_finite(sample_rate=sample_rate, duration=duration)
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
     _check_below_nyquist(tones.frequencies, sample_rate)
     t = _time_grid(sample_rate, duration)
     out = np.zeros(t.size)
@@ -194,8 +197,7 @@ def synthesize(tones: MultiTone, sample_rate: float, duration: float) -> Signal:
 
 
 def _check_below_nyquist(frequencies: np.ndarray, sample_rate: float) -> None:
-    if not 0 < sample_rate < math.inf:
-        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    _check_rate(sample_rate)
     nyquist = sample_rate / 2.0
     above = frequencies[frequencies >= nyquist]
     if above.size:
@@ -203,7 +205,7 @@ def _check_below_nyquist(frequencies: np.ndarray, sample_rate: float) -> None:
 
 
 def _time_grid(sample_rate: float, duration: float) -> np.ndarray:
-    n = int(round(duration * sample_rate))
+    n = _sample_count(sample_rate, duration)
     if n < 1:
         raise ValueError(f"duration {duration} s at sample_rate {sample_rate} Hz has no samples")
     return np.arange(n) / sample_rate
@@ -227,9 +229,8 @@ def sample_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     fixed function of the PCG64 bit stream. Each row equals
     ``synthesize(MultiTone([f], [1.0]), ...)`` bit for bit.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.repeat(np.arange(spec.n_classes), spec.samples_per_class)
-    uniforms = rng.random(2 * labels.size)
+    uniforms = _generator("seed", seed).random(2 * labels.size)
     u1 = 1.0 - uniforms[0::2]  # (0, 1]
     u2 = uniforms[1::2]
     normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DivergenceError
 from .multitone import MultiTone, Signal, _size, _time_grid, synthesize
+from .spectral import _norm
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -186,12 +187,5 @@ def dc_model(amplitudes: Sequence[float], gains: Sequence[float]) -> float:
             raise ValueError(f"{name} must be finite, got {values.tolist()}")
     if np.any(b < 0):
         raise ValueError("gains must be >= 0")
-    # scaled by the largest product, so squares that leave the float range
-    # (a = 1e200, b = 1e-200) do not turn into inf * 0
-    products = np.abs(a * b)
-    scale = float(np.max(products, initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    if math.isinf(scale):  # a product overflowed; the DC is at least sqrt(2)/4 of it
-        return math.inf
-    return math.sqrt(2.0) / 4.0 * scale * math.sqrt(float(np.sum((products / scale) ** 2)))
+    # _norm max-scales where the squares leave the float range (a = 1e200, b = 1e-200)
+    return math.sqrt(2.0) / 4.0 * _norm(a * b)

@@ -56,8 +56,8 @@ def _norm(values: np.ndarray) -> float:
         plain = float(np.linalg.norm(values))
     if _SQRT_TINY <= plain < math.inf:
         return plain
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0 or math.isinf(scale):  # all zeros, or a value is itself infinite
+    scale = float(np.max(np.abs(values), initial=0.0))
+    if scale == 0.0 or math.isinf(scale):  # empty or all zeros, or a value is itself infinite
         return scale
     return scale * float(np.linalg.norm(values / scale))
 

@@ -19,7 +19,15 @@ import numpy as np
 
 from .convnets import Kernel, fir_response
 from .errors import DegenerateInputError, DivergenceError
-from .multitone import DatasetSpec, LabeledSet, _size, _store_sizes, sample_dataset
+from .multitone import (
+    DatasetSpec,
+    LabeledSet,
+    _generator,
+    _sample_count,
+    _size,
+    _store_sizes,
+    sample_dataset,
+)
 
 RELU = "relu"
 LINEAR = "linear"
@@ -241,7 +249,7 @@ def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
 
 def init_network(arch: Architecture, seed: int) -> Network:
     """Weights uniform in [-sqrt(1/fan_in), sqrt(1/fan_in)], biases zero."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator("seed", seed)
     theta = np.zeros(_layout(arch)[0])
     for layer in layer_views(arch, theta):
         fan_in = layer["w"].size // layer["b"].size  # taps feeding each output unit
@@ -396,7 +404,7 @@ def train(
     epochs = _size("epochs", epochs, 0)
     batch_size = _size("batch_size", batch_size, 1)
     x, y = trainset.inputs, trainset.labels
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator("seed", seed)
     arch = net.architecture
     n_conv = len(arch.conv_layers)
     theta0 = net.theta.copy()
@@ -450,7 +458,7 @@ def _comparison_architecture(activation: str, spec: DatasetSpec) -> Architecture
         ),
         hidden_units=16,
         n_classes=spec.n_classes,
-        input_length=int(round(spec.sample_rate * spec.duration)),
+        input_length=_sample_count(spec.sample_rate, spec.duration),
     )
 
 
@@ -513,7 +521,7 @@ def run_comparison(
     returned {variant: TrainingRecord} does not depend on the worker count.
     """
     n_repetitions = _size("n_repetitions", n_repetitions, 1)
-    base_seed = _size("base_seed", base_seed, 0)
+    master = _generator("base_seed", base_seed)
     epochs = _size("epochs", epochs, 0)
     spec = dataset_spec if dataset_spec is not None else default_dataset_spec()
     missing = [c for c in range(spec.n_classes) if c not in DEFAULT_DC_LEVELS]
@@ -521,7 +529,6 @@ def run_comparison(
         raise ValueError(f"DEFAULT_DC_LEVELS has no offset for classes {missing}")
     offsets = np.array([DEFAULT_DC_LEVELS[c] for c in range(spec.n_classes)])
     archs = {name: _comparison_architecture(act, spec) for name, (act, _) in VARIANTS.items()}
-    master = np.random.Generator(np.random.PCG64(base_seed))
     seeds = master.integers(0, 2**31 - 1, size=(n_repetitions, 1 + 2 * len(VARIANTS)))
     task = partial(_run_repetition, spec, offsets, archs, epochs)
     workers = _worker_count(n_repetitions)
@@ -575,11 +582,9 @@ def zero_train_eval(
     """
     if (kernel is None) == (seed is None):
         raise ValueError("provide exactly one of kernel or seed")
-    if kernel is not None:
-        taps = np.asarray(kernel.taps, dtype=float)
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        taps = _uniform(rng, 2, math.sqrt(0.5))
+    if kernel is None:
+        kernel = Kernel(_uniform(_generator("seed", seed), 2, math.sqrt(0.5)))
+    taps = np.asarray(kernel.taps, dtype=float)
     if taps.shape != (2,):
         raise ValueError("zero-training kernel must have exactly 2 taps")
     if len(dataset) == 0:
@@ -613,7 +618,7 @@ def zero_train_eval(
             f"classes share a mean DC ({mean_dcs.tolist()}), so nearest-prototype "
             "accuracy would only measure the tie-break"
         )
-    gains = fir_response(Kernel(taps), mean_freqs, dataset.sample_rate)
+    gains = fir_response(kernel, mean_freqs, dataset.sample_rate)
     predicted = classes[np.argmin(np.abs(dcs[:, None] - mean_dcs[None, :]), axis=1)]
     accuracy = float(np.mean(predicted == labels))
     return ZeroTrainReport(

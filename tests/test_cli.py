@@ -760,27 +760,6 @@ class TestTrainCompare:
         assert not list(out.glob("*.csv"))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--reps", "0", "--reps must be >= 1, got 0"),
-            ("--epochs", "-1", "--epochs must be >= 0, got -1"),
-        ],
-    )
-    def test_bad_count_names_the_flag_before_any_work(
-        self, flag, value, message, tmp_path, monkeypatch, capsys
-    ):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started for an invalid flag")
-
-        monkeypatch.setattr(trainer, "sample_dataset", no_work)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
-        flags = {"--reps": "2", "--epochs": "1", flag: value, "--out": str(tmp_path / "bad")}
-        assert run(["train-compare", *[x for kv in flags.items() for x in kv]]) == 1
-        assert f"error: ValueError: {message}" in capsys.readouterr().err
-        assert not list((tmp_path / "bad").glob("*.csv"))
-        assert multiprocessing.active_children() == []
-
     def test_zero_epochs_report_no_final_loss(self, tmp_path):
         out = tmp_path / "e0"
         assert run(["train-compare", "--reps", "1", "--epochs", "0", "--out", str(out)]) == 0

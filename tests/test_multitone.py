@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relufreq
 from relufreq import (
     AliasingError,
     DatasetSpec,
@@ -193,6 +196,13 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="samples_per_class must be an integer >= 1"):
             DatasetSpec((3.0, 5.0), 0.1, value, 64.0, 1.0)
 
+    @pytest.mark.parametrize("sample_rate", [0.0, -1.0])
+    def test_rate_must_be_positive_at_construction(self, sample_rate):
+        """With means below the rate's Nyquist, a rate of 0 or -1 once constructed."""
+        message = f"sample_rate must be finite and > 0, got {sample_rate}"
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec((-10.0, -5.0), 0.0, 1, sample_rate, 1.0)
+
     def test_numpy_integer_samples_per_class_is_stored_as_int(self):
         spec = DatasetSpec((3.0, 5.0), 0.1, np.int64(3), 64.0, 1.0)
         assert type(spec.samples_per_class) is int and spec.samples_per_class == 3
@@ -261,3 +271,22 @@ def test_sample_dataset_rows_match_scalar_synthesis(seed):
     for row, f in zip(ds.inputs, ds.frequencies):
         tone = synthesize(MultiTone([f], [1.0]), spec.sample_rate, spec.duration)
         assert np.array_equal(row, tone.samples)
+
+
+def test_each_input_rule_is_stated_once():
+    """Every seeded stream, rate, duration and sample count goes through one rule.
+
+    Counts PCG64 calls, round calls and the rules' message texts in the
+    package source, so a second copy of a rule fails here.
+    """
+    calls, texts = [], []
+    for path in sorted(Path(relufreq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                calls.append(getattr(node.func, "attr", getattr(node.func, "id", None)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.append(node.value)
+    assert calls.count("PCG64") == 1, "build seeded streams with multitone._generator"
+    assert calls.count("round") == 1, "take sample counts from multitone._sample_count"
+    for rule in ("sample_rate must be finite and > 0", "duration must be finite and > 0"):
+        assert sum(rule in text for text in texts) == 1, rule

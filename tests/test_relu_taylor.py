@@ -123,6 +123,19 @@ class TestPowerFluctuation:
         with pytest.raises(ValueError, match="phase"):
             power_fluctuation(tones, 1.7e308, 1e-307)
 
+    @pytest.mark.parametrize(
+        "sample_rate, duration, message",
+        [
+            (64.0, math.nan, "duration must be finite and > 0, got nan"),
+            (64.0, math.inf, "duration must be finite and > 0, got inf"),
+            (math.nan, 1.0, "sample_rate must be finite and > 0, got nan"),
+        ],
+    )
+    def test_grid_names_the_bad_field(self, sample_rate, duration, message):
+        """A NaN duration once raised int()'s 'cannot convert float NaN to integer'."""
+        with pytest.raises(ValueError, match=message):
+            power_fluctuation(MultiTone([3.0], [1.0]), sample_rate, duration)
+
 
 class TestFluctuationFromSamples:
     def test_constant_sqrt_mean_power(self):
@@ -329,6 +342,7 @@ class TestDcModel:
     def test_examples(self):
         assert dc_model([1.0], [1.0]) == pytest.approx(math.sqrt(2.0) / 4.0)
         assert dc_model([1.0, 1.0], [1.0, 1.0]) == pytest.approx(0.5)
+        assert dc_model([], []) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

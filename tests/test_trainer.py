@@ -2,9 +2,10 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import re
 import tracemalloc
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -926,10 +927,6 @@ class TestRunComparison:
             assert net.final_losses.size == 0
             assert net.curves["loss"].shape == (1, 0)
 
-    def test_negative_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            run_comparison(1, 0, epochs=-1)
-
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_stacked_finals_equal_the_per_repetition_records(self, epochs, sequential_repetitions):
         """Row r of a stacked record's finals is repetition r's own record's finals."""
@@ -1224,3 +1221,36 @@ def test_zero_train_holds_no_more_than_a_slice():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# entry point -> a function of the seed alone, its other arguments built when it is made
+SEEDED_ENTRY_POINTS = {
+    "sample_dataset": lambda: partial(sample_dataset, RAGGED_SPEC),
+    "init_network": lambda: partial(init_network, SMALL_ARCH),
+    "train": lambda: partial(train, init_network(TestTrain.arch, 0), toy_separable_set(), 1, 8),
+    "zero_train_eval": lambda: partial(zero_train_eval, sample_dataset(RAGGED_SPEC, 0), None),
+    "run_comparison": lambda: lambda seed: run_comparison(1, seed, 1, RAGGED_SPEC),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, "3", None])
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+def test_a_seed_must_be_an_integer_from_0_before_any_draw(entry, seed, monkeypatch):
+    """None once drew fresh OS entropy; 2.5 and -1 raised numpy's unnamed errors.
+
+    No PCG64 stream may be built once the other arguments are. zero_train_eval
+    with no kernel takes a None seed as a missing one.
+    """
+    call = SEEDED_ENTRY_POINTS[entry]()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stream was built from an invalid seed")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draw)
+    field = "base_seed" if entry == "run_comparison" else "seed"
+    if entry == "zero_train_eval" and seed is None:
+        message = "provide exactly one of kernel or seed"
+    else:
+        message = re.escape(f"{field} must be an integer >= 0, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        call(seed)
