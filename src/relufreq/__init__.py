@@ -35,9 +35,7 @@ from .spectral import (
     spectrum,
 )
 from .relu_taylor import (
-    ConvergenceReport,
     approximate_relu,
-    convergence_report,
     dc_model,
     fluctuation_from_samples,
     mean_power,

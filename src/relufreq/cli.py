@@ -190,11 +190,6 @@ def _cmd_approx(args) -> Artifacts:
     freqs, x_mag = spectrum(x).one_sided()
     _, relu_mag = spectrum(y_relu).one_sided()
     _, approx_mag = spectrum(approx).one_sided()
-    convergence = {
-        "max_abs_g": report.max_abs_fluctuation,
-        "fraction_violating": report.fraction_violating,
-        "valid": report.valid,
-    }
     return Artifacts(
         config={
             "probe": probe,
@@ -203,7 +198,7 @@ def _cmd_approx(args) -> Artifacts:
             "rrmse_definition": RRMSE_DEFINITION,
             "dft_normalization": DFT_NORMALIZATION,
         },
-        results={"rrmse": err, **convergence},
+        results={"rrmse": err, **report},
         tables={
             "approx_time.csv": (
                 ["t", "x", "relu_x", "approx"],
@@ -214,7 +209,7 @@ def _cmd_approx(args) -> Artifacts:
                 [freqs, x_mag, relu_mag, approx_mag],
             ),
         },
-        json_files={"convergence.json": convergence},
+        json_files={"convergence.json": report},
         summary=f"rrmse {err:.17g}",
     )
 

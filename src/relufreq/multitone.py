@@ -34,6 +34,8 @@ def _sample_count(sample_rate: float, duration: float) -> int:
     _check_rate(sample_rate)
     if not 0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
+    if duration * sample_rate == math.inf:
+        raise ValueError(f"duration * sample_rate must be finite, got {duration} * {sample_rate}")
     return int(round(duration * sample_rate))
 
 

@@ -9,7 +9,6 @@ The series' constant term is the DC component the ReLU injects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -24,15 +23,6 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 # exact arithmetic, but on the default approx probe it moves samples by up to ~1.9e22
 # where the series diverges, and the recorded approx_time.csv bytes depend on that.
 PRESCALE = 1e-4
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Where the series is trustworthy: it requires |fluctuation| < 1."""
-
-    max_abs_fluctuation: float
-    fraction_violating: float
-    valid: bool
 
 
 def relu(signal: Signal) -> Signal:
@@ -122,20 +112,12 @@ def sqrt1p_series(values: np.ndarray, n_terms: int) -> np.ndarray:
     return total
 
 
-def convergence_report(fluctuation: Signal) -> ConvergenceReport:
-    """Diagnose the fluctuation signal against the |u| < 1 validity region."""
-    mag = np.abs(fluctuation.samples)
-    max_abs = float(mag.max())
-    fraction = float(np.count_nonzero(mag >= 1.0) / mag.size)
-    return ConvergenceReport(max_abs, fraction, fraction == 0.0)
-
-
 def approximate_relu(
     tones: MultiTone,
     sample_rate: float,
     duration: float,
     n_terms: int = 50,
-) -> Tuple[Signal, ConvergenceReport]:
+) -> Tuple[Signal, dict]:
     """Series approximation of relu(x) for a zero-phase multi-tone x, summing n_terms terms.
 
     Amplitudes are scaled by PRESCALE before evaluation and the result is
@@ -143,10 +125,10 @@ def approximate_relu(
     The round trip is kept because it is not bitwise neutral and the
     ``approx_time.csv`` artifact depends on it. Amplitudes whose largest
     scaled value is not a normal float raise ValueError.
-    The fluctuation is invariant under that scaling, so the report flags any
-    samples with |u| >= 1 where the truncated series is unreliable; no
-    clamping is applied there. Where the series' terms grow past the float
-    range the result is no longer finite, and DivergenceError is raised.
+    The fluctuation u is invariant under that scaling. The returned report
+    {"max_abs_g", "fraction_violating", "valid"} gives max |u| and the share of
+    samples with |u| >= 1, where the truncated series is unreliable (no clamping
+    is applied). Where the series leaves the float range DivergenceError is raised.
     """
     mean_power(tones)  # raise DegenerateInputError before any work
     largest = float(tones.amplitudes.max())
@@ -163,12 +145,15 @@ def approximate_relu(
         fluct = power_fluctuation(scaled, sample_rate, duration)
         series = sqrt1p_series(fluct.samples, n_terms)
         approx = (x.samples / 2.0 + dc_amp * series) / PRESCALE
+    mag = np.abs(fluct.samples)
+    peak = float(mag.max())
     if not np.all(np.isfinite(approx)):
-        peak = float(np.max(np.abs(fluct.samples)))
         raise DivergenceError(
             f"the {n_terms}-term series is not finite where |u| reaches {peak:.17g}"
         )
-    return Signal(approx, sample_rate), convergence_report(fluct)
+    fraction = float(np.count_nonzero(mag >= 1.0) / mag.size)
+    report = {"max_abs_g": peak, "fraction_violating": fraction, "valid": fraction == 0.0}
+    return Signal(approx, sample_rate), report
 
 
 def dc_model(amplitudes: Sequence[float], gains: Sequence[float]) -> float:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -525,6 +526,29 @@ class TestApprox:
         assert time_lines[0] == "t,x,relu_x,approx"
         assert len(time_lines) == 1025
 
+    def test_approximate_relu_returns_what_approx_records(self, tmp_path, capsys):
+        """The report of approx's probe is convergence.json and its keys of the results."""
+        assert run(["approx", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = json.loads(read(tmp_path / "manifest.json"))
+        probe = ProbeSpec(**manifest["full_config"]["probe"])
+        n_terms = manifest["full_config"]["taylor"]["n_terms"]
+        _, report = relufreq.approximate_relu(
+            probe.tones, probe.sample_rate, probe.duration, n_terms
+        )
+        assert report == json.loads(read(tmp_path / "convergence.json"))
+        assert report == {key: manifest["results"][key] for key in report}
+        assert set(manifest["results"]) == {"rrmse", *report}
+
+    def test_overflowing_sample_count_names_the_fields(self, tmp_path, capsys):
+        """duration * sample_rate = inf once raised numpy's raw OverflowError."""
+        assert run(["approx", "--fs", "1e200", "--duration", "1e200", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: ValueError: duration * sample_rate must be finite, got 1e+200 * 1e+200\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     def test_small_config_spectrum_columns(self, tmp_path):
         out = tmp_path / "b"
         assert (
@@ -1028,3 +1052,15 @@ def test_manifest_json_equals_the_reference_serializer(argv, tmp_path, monkeypat
     reference = reference_jsonable(manifest)
     text = json.dumps(reference, indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert read(tmp_path / "manifest.json").decode("utf-8") == text
+
+
+def test_every_export_is_named_in_the_readme():
+    """Each public name of the package (modules and __version__ aside) appears in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    exports = [
+        name
+        for name, value in vars(relufreq).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert "approximate_relu" in exports
+    assert [name for name in exports if not re.search(rf"`{name}\b", readme)] == []

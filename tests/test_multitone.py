@@ -157,6 +157,21 @@ def test_non_finite_values_are_rejected(build):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DatasetSpec((3.0, 5.0), 0.1, 2, 1e200, 1e200),
+        lambda: synthesize(MultiTone([1.0], [1.0]), 1e200, 1e200),
+    ],
+    ids=["spec", "synthesize"],
+)
+def test_an_overflowing_sample_count_names_both_fields(build):
+    """Finite fields whose product is inf once raised numpy's raw OverflowError."""
+    message = r"duration \* sample_rate must be finite, got 1e\+200 \* 1e\+200"
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
     "frequencies, amplitudes, message",
     [
         ([1.0, math.nan], [1.0, 1.0], "frequencies must be finite"),
