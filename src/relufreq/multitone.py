@@ -30,13 +30,16 @@ def _check_rate(sample_rate: float) -> None:
 
 
 def _sample_count(sample_rate: float, duration: float) -> int:
-    """round(duration * sample_rate), once the rate and the duration are finite and > 0."""
+    """round(duration * sample_rate) >= 1, once the rate and the duration are finite and > 0."""
     _check_rate(sample_rate)
     if not 0 < duration < math.inf:
         raise ValueError(f"duration must be finite and > 0, got {duration}")
     if duration * sample_rate == math.inf:
         raise ValueError(f"duration * sample_rate must be finite, got {duration} * {sample_rate}")
-    return int(round(duration * sample_rate))
+    n = int(round(duration * sample_rate))
+    if n < 1:
+        raise ValueError(f"duration {duration} s at sample_rate {sample_rate} Hz has no samples")
+    return n
 
 
 def _store_sizes(spec, **minimums: int) -> None:
@@ -75,7 +78,7 @@ class MultiTone:
 
 @dataclass
 class Signal:
-    """Uniformly sampled real-valued sequence."""
+    """Uniformly sampled real-valued sequence of finite samples."""
 
     samples: np.ndarray
     sample_rate: float
@@ -84,6 +87,9 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
+        bad = self.samples[~np.isfinite(self.samples)]
+        if bad.size:
+            raise ValueError(f"samples must be finite, got {bad[0]}")
         _check_rate(self.sample_rate)
 
     def __len__(self) -> int:
@@ -111,7 +117,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         means = tuple(float(m) for m in self.class_means)
         object.__setattr__(self, "class_means", means)
-        _sample_count(self.sample_rate, self.duration)  # a grid of 0 samples fails at sampling
+        _sample_count(self.sample_rate, self.duration)  # a grid of 0 samples fails here
         if not 0 <= self.freq_std < math.inf:
             raise ValueError(f"freq_std must be finite and >= 0, got {self.freq_std}")
         if not all(math.isfinite(m) for m in means):
@@ -207,10 +213,7 @@ def _check_below_nyquist(frequencies: np.ndarray, sample_rate: float) -> None:
 
 
 def _time_grid(sample_rate: float, duration: float) -> np.ndarray:
-    n = _sample_count(sample_rate, duration)
-    if n < 1:
-        raise ValueError(f"duration {duration} s at sample_rate {sample_rate} Hz has no samples")
-    return np.arange(n) / sample_rate
+    return np.arange(_sample_count(sample_rate, duration)) / sample_rate
 
 
 def harmonic_stack(f0: float, amplitudes: Sequence[float]) -> MultiTone:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DivergenceError
 from .multitone import MultiTone, Signal, _size, _time_grid, synthesize
-from .spectral import _norm
+from .spectral import _norm, _shift
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -50,6 +50,7 @@ def power_fluctuation(tones: MultiTone, sample_rate: float, duration: float) -> 
     """
     a = mean_power(tones)  # raises DegenerateInputError when everything is 0
     amps = tones.amplitudes
+    # by the max, not by a power of two: only that keeps |u| = 1.0 exact for equal amplitudes
     if not _TINY <= a < math.inf:
         amps = amps / amps.max()
         a = mean_power(MultiTone(tones.frequencies, amps))
@@ -136,11 +137,9 @@ def approximate_relu(
         raise ValueError(f"amplitude {largest!r} times PRESCALE {PRESCALE!r} is not a normal float")
     scaled = MultiTone(tones.frequencies, tones.amplitudes * PRESCALE)
     x = synthesize(scaled, sample_rate, duration)
-    power = 2.0 * mean_power(scaled)
-    if _TINY <= power < math.inf:
-        dc_amp = (math.sqrt(2.0) / 4.0) * math.sqrt(power)
-    else:  # the squares left the float range
-        dc_amp = dc_model(scaled.amplitudes, np.ones_like(scaled.amplitudes))
+    shift = _shift(scaled.amplitudes)
+    power = float(np.sum(np.ldexp(scaled.amplitudes, shift) ** 2))  # 2 * mean_power, shifted
+    dc_amp = math.ldexp((math.sqrt(2.0) / 4.0) * math.sqrt(power), -shift)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as DivergenceError
         fluct = power_fluctuation(scaled, sample_rate, duration)
         series = sqrt1p_series(fluct.samples, n_terms)
@@ -172,5 +171,5 @@ def dc_model(amplitudes: Sequence[float], gains: Sequence[float]) -> float:
             raise ValueError(f"{name} must be finite, got {values.tolist()}")
     if np.any(b < 0):
         raise ValueError("gains must be >= 0")
-    # _norm max-scales where the squares leave the float range (a = 1e200, b = 1e-200)
+    # _norm's power-of-two shift keeps every square in the float range (a = 1e200, b = 1e-200)
     return math.sqrt(2.0) / 4.0 * _norm(a * b)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,44 +45,37 @@ def dc_of(signal: Signal) -> float:
     return float(np.mean(signal.samples))
 
 
-# the smallest norm whose square is a normal float
-_SQRT_TINY = math.sqrt(sys.float_info.min)
+def _shift(*arrays: np.ndarray) -> int:
+    """The exponent with which np.ldexp brings the largest |value| into [0.5, 1); 0 for 0, inf, NaN.
+
+    Scaling by a power of two is exact short of subnormal results, so a
+    scale-free quantity taken on shifted values keeps the bits of the plain
+    formula wherever that formula's squares stay normal.
+    """
+    return -math.frexp(np.max([np.max(np.abs(a), initial=0.0) for a in arrays]))[1]
 
 
 def _norm(values: np.ndarray) -> float:
-    """Euclidean norm; max-scaled only where the sum of squares overflows or is not normal."""
-    with np.errstate(over="ignore"):
-        plain = float(np.linalg.norm(values))
-    if _SQRT_TINY <= plain < math.inf:
-        return plain
-    scale = float(np.max(np.abs(values), initial=0.0))
-    if scale == 0.0 or math.isinf(scale):  # empty or all zeros, or a value is itself infinite
-        return scale
-    return scale * float(np.linalg.norm(values / scale))
+    """Euclidean norm, taken on values shifted by _shift, so no square leaves the float range."""
+    shift = _shift(values)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return float(np.ldexp(np.linalg.norm(np.ldexp(values, shift)), -shift))
 
 
 def rrmse(reference: Signal, estimate: Signal) -> float:
     """Relative root mean squared error: ||estimate - reference||_2 / ||reference||_2.
 
-    Norms whose squares overflow or underflow are computed max-scaled. Where
-    the error still comes out inf, both signals are divided by one shared
-    power of two, exact save for values far below the largest, and the
-    ratio is taken again, so the result does not depend on the samples' scale.
+    Both signals are first shifted by one shared power of two, so the result
+    does not depend on the samples' scale; a ratio beyond the float range is inf.
     """
     if len(reference) != len(estimate):
         raise ValueError("reference and estimate must have equal length")
-    ref, est = reference.samples, estimate.samples
-    ref_norm = _norm(ref)
-    if ref_norm == 0.0:
+    if not np.any(reference.samples):
         raise ZeroReferenceError("reference signal has zero norm")
-    with np.errstate(over="ignore"):
-        error = _norm(est - ref) / ref_norm
-    if math.isinf(error) and np.isfinite(est).all():
-        shift = 1 - math.frexp(max(np.abs(ref).max(), np.abs(est).max()))[1]
-        ref, est = np.ldexp(ref, shift), np.ldexp(est, shift)
-        ref_norm = _norm(ref)  # 0 only where the ratio is beyond the float range
-        error = _norm(est - ref) / ref_norm if ref_norm > 0.0 else error
-    return error
+    shift = _shift(reference.samples, estimate.samples)
+    ref, est = np.ldexp(reference.samples, shift), np.ldexp(estimate.samples, shift)
+    ref_norm = _norm(ref)  # 0 only where the ratio is beyond the float range
+    return _norm(est - ref) / ref_norm if ref_norm > 0.0 else math.inf
 
 
 def band_occupancy(spec: Spectrum, threshold_fraction: float) -> float:
@@ -106,9 +98,8 @@ def energy_fraction_above(spec: Spectrum, cutoff_hz: float) -> float:
     """Fraction of total spectral energy carried by bins above cutoff_hz.
 
     Uses the folded (absolute) frequency of every bin, so conjugate pairs
-    count on both sides and the ratio is exact under Parseval. Where the
-    energy sum is not a normal finite number, the magnitudes are divided by
-    the largest of them before squaring. A NaN cutoff_hz raises ValueError.
+    count on both sides and the ratio is exact under Parseval. The magnitudes
+    are shifted by _shift before squaring. A NaN cutoff_hz raises ValueError.
     """
     if math.isnan(cutoff_hz):
         raise ValueError("cutoff_hz must not be NaN")
@@ -116,13 +107,8 @@ def energy_fraction_above(spec: Spectrum, cutoff_hz: float) -> float:
     k = np.arange(n)
     folded = np.minimum(k, n - k) * spec.bin_resolution
     mags = np.abs(spec.bins)
-    with np.errstate(over="ignore"):
-        energy = mags**2
-        total = energy.sum()
-    if not sys.float_info.min <= total < math.inf:
-        peak = mags.max(initial=0.0)
-        if peak == 0.0:
-            return 0.0
-        energy = (mags / peak) ** 2
-        total = energy.sum()
+    energy = np.ldexp(mags, _shift(mags)) ** 2
+    total = energy.sum()
+    if total == 0.0:
+        return 0.0
     return float(energy[folded > cutoff_hz].sum() / total)

@@ -17,6 +17,7 @@ from relufreq import (
     ProbeSpec,
     Signal,
     harmonic_stack,
+    power_fluctuation,
     sample_dataset,
     synthesize,
 )
@@ -172,6 +173,28 @@ def test_an_overflowing_sample_count_names_both_fields(build):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 0.001),
+        lambda: synthesize(MultiTone([1.0], [1.0]), 64.0, 0.001),
+        lambda: power_fluctuation(MultiTone([1.0], [1.0]), 64.0, 0.001),
+    ],
+    ids=["spec", "synthesize", "power_fluctuation"],
+)
+def test_a_grid_without_samples_names_duration_and_rate(build):
+    """A DatasetSpec of 0 samples once passed and failed later as input_length 0."""
+    with pytest.raises(ValueError, match="duration 0.001 s at sample_rate 64.0 Hz has no samples"):
+        build()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_signal_rejects_non_finite_samples(value):
+    """A NaN sample once gave band_occupancy 0.0 and energy_fraction_above nan."""
+    with pytest.raises(ValueError, match=f"samples must be finite, got {value}"):
+        Signal([value, 1.0, 0.0, 2.0], 4.0)
+
+
+@pytest.mark.parametrize(
     "frequencies, amplitudes, message",
     [
         ([1.0, math.nan], [1.0, 1.0], "frequencies must be finite"),
@@ -249,9 +272,8 @@ class TestSampleDataset:
                 assert np.array_equal(sig, ref.samples)
 
     def test_duration_below_one_sample_is_rejected(self):
-        spec = DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1e-9)
         with pytest.raises(ValueError, match="duration 1e-09 s at sample_rate 64.0 Hz"):
-            sample_dataset(spec, 0)
+            sample_dataset(DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1e-9), 0)
 
     @pytest.mark.parametrize(
         "labels", [[0.5, 1.5, 2.5], [0.0, math.nan, 1.0], [0, -1, 1], [0, math.inf, 1]]
@@ -289,19 +311,25 @@ def test_sample_dataset_rows_match_scalar_synthesis(seed):
 
 
 def test_each_input_rule_is_stated_once():
-    """Every seeded stream, rate, duration and sample count goes through one rule.
+    """Every seeded stream, rate, duration, sample count and rescale goes through one rule.
 
-    Counts PCG64 calls, round calls and the rules' message texts in the
-    package source, so a second copy of a rule fails here.
+    Counts PCG64, round and frexp calls and the rules' message texts in the
+    package source, so a second copy of a rule fails here. The one frexp call
+    is spectral._shift's, which every norm and energy ratio rescales with.
     """
-    calls, texts = [], []
+    calls, texts, shift_source = [], [], ""
     for path in sorted(Path(relufreq.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        source = path.read_text()
+        assert "float_info.min" not in source, f"{path.name}: rescale with spectral._shift"
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 calls.append(getattr(node.func, "attr", getattr(node.func, "id", None)))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 texts.append(node.value)
+            elif isinstance(node, ast.FunctionDef) and node.name == "_shift":
+                shift_source = ast.unparse(node)
     assert calls.count("PCG64") == 1, "build seeded streams with multitone._generator"
     assert calls.count("round") == 1, "take sample counts from multitone._sample_count"
+    assert calls.count("frexp") == 1 and "frexp(" in shift_source, "rescale with spectral._shift"
     for rule in ("sample_rate must be finite and > 0", "duration must be finite and > 0"):
         assert sum(rule in text for text in texts) == 1, rule

@@ -24,6 +24,7 @@ from relufreq import (
     sqrt_taylor_coefficients,
     synthesize,
 )
+from relufreq.relu_taylor import PRESCALE
 
 PROBE = harmonic_stack(5.0, [1.0, 1.0, 1.0, 1.0])
 
@@ -263,8 +264,8 @@ class TestApproximateRelu:
 
     @pytest.mark.parametrize("terms, exponents", [(5, range(-300, 307)), (50, range(-300, 271))])
     def test_error_and_report_do_not_depend_on_the_amplitude_scale(self, terms, exponents):
-        """Where the squares of the scaled amplitudes are not normal floats, u and
-        the series' DC term come from max-scaled amplitudes; a leaked warning fails.
+        """Where the squares of the scaled amplitudes are not normal floats, u comes
+        from max-scaled amplitudes and the DC term from shifted ones; a leaked warning fails.
 
         The exponents run up to the last one at which approximate_relu returns;
         near it the error's norms leave the float range and rrmse rescales.
@@ -284,6 +285,21 @@ class TestApproximateRelu:
                 report["fraction_violating"], abs=1e-12
             )
             assert scaled_report["valid"] == report["valid"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-100, 100), st.integers(0, 2**31 - 1))
+    def test_dc_term_equals_the_plain_formula_where_squares_stay_normal(self, k, seed):
+        """At 1 term the series is 1, so the output is (x / 2 + dc) / PRESCALE. Scaled amplitudes
+        within 10**105 of 1 either way square to normal floats: the shift changes no bit of dc."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        freqs = rng.choice(np.arange(1.0, 31.0), n, replace=False)
+        tones = MultiTone(freqs, rng.uniform(0.5, 2.0, n) * 10.0**k)
+        scaled = MultiTone(freqs, tones.amplitudes * PRESCALE)
+        dc = (math.sqrt(2.0) / 4.0) * math.sqrt(2.0 * mean_power(scaled))
+        expected = (synthesize(scaled, 64.0, 1.0).samples / 2.0 + dc) / PRESCALE
+        approx, _ = approximate_relu(tones, 64.0, 1.0, 1)
+        assert np.array_equal(approx.samples, expected)
 
     def test_default_terms_diverge_from_amplitude_1e300(self):
         for exponent in range(300, 309):

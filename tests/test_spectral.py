@@ -1,18 +1,21 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relufreq import (
     MultiTone,
     Signal,
     ZeroReferenceError,
+    approximate_relu,
     band_occupancy,
     dc_of,
     energy_fraction_above,
+    harmonic_stack,
     relu,
     rrmse,
     spectrum,
@@ -164,7 +167,7 @@ class TestRrmse:
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.01, 100.0), st.integers(0, 2**31 - 1))
-    @example(alpha=1e300, seed=0)  # squares overflow: the norms fall back to max-scaling
+    @example(alpha=1e300, seed=0)  # squares overflow unless shifted by a power of two
     def test_scale_invariance(self, alpha, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(32) + 0.1
@@ -191,6 +194,32 @@ class TestRrmse:
         base = rrmse(Signal(ref, 1.0), Signal(est, 1.0))
         s = 10.0**k
         assert rrmse(Signal(s * ref, 1.0), Signal(s * est, 1.0)) == pytest.approx(base, rel=1e-14)
+
+    @pytest.mark.parametrize("terms", [200, 300])
+    def test_divergent_series_error_is_the_exact_ratio(self, terms):
+        """approx's probe at 200 and 300 terms, whose squares overflow: within 2**-53 of
+        sqrt(sum (e - r)**2 / sum r**2) taken in exact rationals."""
+        tones = harmonic_stack(5.0, [1.0] * 4)
+        reference = relu(synthesize(tones, 1024.0, 1.0))
+        estimate, _ = approximate_relu(tones, 1024.0, 1.0, terms)
+        ref = [Fraction(r) for r in reference.samples.tolist()]
+        est = [Fraction(e) for e in estimate.samples.tolist()]
+        squared = sum((e - r) ** 2 for r, e in zip(ref, est)) / sum(r * r for r in ref)
+        error, eps = Fraction(rrmse(reference, estimate)), Fraction(1, 2**53)
+        assert (1 - eps) ** 2 * squared <= error**2 <= (1 + eps) ** 2 * squared
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 64), st.integers(-140, 140), st.integers(-6, 6), st.integers(0, 2**31 - 1)
+    )
+    def test_equals_the_plain_formula_where_squares_stay_normal(self, n, k, j, seed):
+        """Samples and their differences lie within 10**13 of each other and 10**147 of 1
+        either way: every square, shifted or not, is a normal float, so no bit changes."""
+        rng = np.random.default_rng(seed)
+        ref = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n) * 10.0**k
+        est = ref + rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n) * 10.0 ** (k + j)
+        plain = float(np.linalg.norm(est - ref)) / float(np.linalg.norm(ref))
+        assert rrmse(Signal(ref, 1.0), Signal(est, 1.0)) == plain
 
 
 class TestBandOccupancy:
@@ -236,3 +265,17 @@ def test_energy_fraction_above_is_scale_invariant():
     for k in range(-300, 301):
         scaled = energy_fraction_above(spectrum(Signal(10.0**k * x, 64.0)), 10.0)
         assert scaled == pytest.approx(base, rel=1e-14), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 64), st.integers(-120, 120), st.floats(-1.0, 40.0), st.integers(0, 2**31 - 1))
+def test_energy_fraction_above_is_the_plain_formula_where_squares_are_normal(n, k, cutoff, seed):
+    """Where every nonzero squared magnitude, shifted or not, is a normal float, no bit changes."""
+    samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * 10.0**k
+    spec = spectrum(Signal(samples, 64.0))
+    energy = np.abs(spec.bins) ** 2
+    lowest, tiny = energy[energy > 0.0].min(), np.finfo(float).tiny
+    assume(lowest >= tiny and lowest / energy.max() >= 4.0 * tiny)
+    folded = np.minimum(np.arange(n), n - np.arange(n)) * spec.bin_resolution
+    plain = float(energy[folded > cutoff].sum() / energy.sum())
+    assert energy_fraction_above(spec, cutoff) == plain
