@@ -59,7 +59,6 @@ from .trainer import (
     ConvLayerSpec,
     Network,
     TrainingRecord,
-    ZeroTrainReport,
     adam_step,
     backward,
     forward,

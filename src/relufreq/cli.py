@@ -335,19 +335,19 @@ def _cmd_zero_train(args) -> Artifacts:
     dataset_seed = seed + 1
     dataset = sample_dataset(ZERO_TRAIN_SPEC, dataset_seed)
     if args.seed is not None:
-        report = zero_train_eval(dataset, seed=args.seed)
-        kernel_source = "random"
+        kernel, kernel_source = None, "random"
+    elif args.kernel is not None:
+        kernel, kernel_source = Kernel(np.array(args.kernel)), "explicit"
     else:
-        taps = args.kernel if args.kernel is not None else DEFAULT_ZERO_KERNEL
-        report = zero_train_eval(dataset, kernel=Kernel(np.array(taps)))
-        kernel_source = "explicit" if args.kernel is not None else "default"
+        kernel, kernel_source = Kernel(np.array(DEFAULT_ZERO_KERNEL)), "default"
+    taps, sample_dcs, results = zero_train_eval(dataset, kernel, args.seed)
 
     fs = ZERO_TRAIN_SPEC.sample_rate
     grid = np.linspace(0.0, fs / 2.0, RESPONSE_POINTS)
-    gains = fir_response(Kernel(report.taps), grid, fs)
+    gains = fir_response(Kernel(taps), grid, fs)
     return Artifacts(
         config={
-            "kernel_taps": report.taps,
+            "kernel_taps": taps,
             "kernel_source": kernel_source,
             "kernel_seed": seed if kernel_source == "random" else None,
             "dataset_seed": dataset_seed,
@@ -356,23 +356,16 @@ def _cmd_zero_train(args) -> Artifacts:
             "classifier": "nearest-class-mean of the per-sample DC",
             "prng": PRNG_ID,
         },
-        results={
-            "accuracy": report.accuracy,
-            "class_labels": report.class_labels,
-            "class_mean_freqs_hz": report.class_mean_freqs,
-            "class_mean_dcs": report.class_mean_dcs,
-            "class_std_dcs": report.class_std_dcs,
-            "class_gains": report.class_gains,
-        },
+        results=results,
         tables={
             "response.csv": (["f", "b"], [grid, gains]),
             "dc_by_class.csv": (
                 ["f_i", "dc", "class"],
-                [dataset.frequencies, report.sample_dcs, dataset.labels],
+                [dataset.frequencies, sample_dcs, dataset.labels],
             ),
         },
         seed=seed,
-        summary=f"accuracy {report.accuracy:.17g}",
+        summary=f"accuracy {results['accuracy']:.17g}",
     )
 
 

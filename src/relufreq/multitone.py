@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +40,10 @@ def _sample_count(sample_rate: float, duration: float) -> int:
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValueError(f"duration {duration} s at sample_rate {sample_rate} Hz has no samples")
+    if n > sys.maxsize // 8:  # a float64 grid past sys.maxsize bytes; np.arange(2**63) is empty
+        raise ValueError(
+            f"duration {duration} s at sample_rate {sample_rate} Hz has too many samples"
+        )
     return n
 
 

@@ -35,8 +35,10 @@ class Spectrum:
 
 
 def spectrum(signal: Signal) -> Spectrum:
-    n = len(signal)
-    bins = np.fft.fft(signal.samples) / n
+    """The DFT / N of the samples, taken shifted by _shift, so finite samples give finite bins."""
+    n, shift = len(signal), _shift(signal.samples)
+    bins = np.fft.fft(np.ldexp(signal.samples, shift)) / n
+    bins = np.ldexp(bins.view(float), -shift).view(complex)  # np.ldexp has no complex loop
     return Spectrum(bins, signal.sample_rate / n)
 
 

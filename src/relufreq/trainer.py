@@ -141,21 +141,6 @@ class TrainingRecord:
         return np.sqrt((self.curves["distance"][..., -1] ** 2).sum(axis=-1))
 
 
-@dataclass
-class ZeroTrainReport:
-    """Per-class DC statistics of relu(conv(x)) plus the filter's gains there."""
-
-    taps: np.ndarray
-    class_labels: np.ndarray
-    class_counts: np.ndarray
-    class_mean_freqs: np.ndarray
-    class_mean_dcs: np.ndarray
-    class_std_dcs: np.ndarray
-    class_gains: np.ndarray
-    accuracy: float
-    sample_dcs: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # batched causal convolution
 
@@ -565,8 +550,13 @@ def zero_train_eval(
     dataset: LabeledSet,
     kernel: Optional[Kernel] = None,
     seed: Optional[int] = None,
-) -> ZeroTrainReport:
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, object]]:
     """Evaluate dc_of(relu(conv(x, 2-tap kernel))) as a class feature.
+
+    Returns (taps, sample_dcs, results): the kernel's two taps, each sample's
+    DC, and the dict zero-train writes to its manifest's results: accuracy,
+    class_labels, class_mean_freqs_hz, class_mean_dcs, class_std_dcs and
+    class_gains, the filter's gain at each class's mean frequency.
 
     Exactly one of kernel / seed must be given; a seed draws the two taps
     uniformly from [-sqrt(1/2), sqrt(1/2)] like a fan-in-scaled random init.
@@ -603,8 +593,7 @@ def zero_train_eval(
         raise ValueError(f"kernel {taps.tolist()} overflows the per-sample DCs")
     labels, freqs = dataset.labels, dataset.frequencies
 
-    classes = np.unique(labels)
-    counts = np.array([int(np.sum(labels == c)) for c in classes])
+    classes, counts = np.unique(labels, return_counts=True)
     mean_freqs = np.array([freqs[labels == c].mean() for c in classes])
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
         mean_dcs = np.array([dcs[labels == c].mean() for c in classes])
@@ -618,17 +607,12 @@ def zero_train_eval(
             f"classes share a mean DC ({mean_dcs.tolist()}), so nearest-prototype "
             "accuracy would only measure the tie-break"
         )
-    gains = fir_response(kernel, mean_freqs, dataset.sample_rate)
     predicted = classes[np.argmin(np.abs(dcs[:, None] - mean_dcs[None, :]), axis=1)]
-    accuracy = float(np.mean(predicted == labels))
-    return ZeroTrainReport(
-        taps=taps,
-        class_labels=classes,
-        class_counts=counts,
-        class_mean_freqs=mean_freqs,
-        class_mean_dcs=mean_dcs,
-        class_std_dcs=std_dcs,
-        class_gains=gains,
-        accuracy=accuracy,
-        sample_dcs=dcs,
-    )
+    return taps, dcs, {
+        "accuracy": float(np.mean(predicted == labels)),
+        "class_labels": classes,
+        "class_mean_freqs_hz": mean_freqs,
+        "class_mean_dcs": mean_dcs,
+        "class_std_dcs": std_dcs,
+        "class_gains": fir_response(kernel, mean_freqs, dataset.sample_rate),
+    }

@@ -611,6 +611,14 @@ class TestProto:
         assert run(["proto"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fs", ["1e308", "2e18", "9.223372036854775808e18"])
+    def test_a_grid_too_large_for_an_array_names_duration_and_rate(self, fs, tmp_path, capsys):
+        """numpy's unnamed size errors once exited here; np.arange(2**63) returned an empty grid."""
+        assert run(["proto", "--kind", "avg", "--fs", fs, "--out", str(tmp_path)]) == 1
+        message = f"duration 1.0 s at sample_rate {float(fs)} Hz has too many samples"
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestHeartDemo:
     def test_writes_long_format_spectra(self, tmp_path):
@@ -817,6 +825,18 @@ class TestZeroTrain:
         assert manifest["full_config"]["kernel_source"] == "random"
         taps = manifest["full_config"]["kernel_taps"]
         assert all(abs(t) <= math.sqrt(0.5) for t in taps)
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"]], ids=["default", "seed3"])
+    def test_zero_train_eval_returns_what_zero_train_records(self, flags, tmp_path, capsys):
+        """zero_train_eval's results, on the recorded dataset and kernel, are the manifest's."""
+        assert run(["zero-train", *flags, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = json.loads(read(tmp_path / "manifest.json"))
+        config = manifest["full_config"]
+        dataset = sample_dataset(DatasetSpec(**config["dataset"]), config["dataset_seed"])
+        kernel = relufreq.Kernel(np.array(config["kernel_taps"]))
+        _, _, results = relufreq.zero_train_eval(dataset, kernel=kernel)
+        assert reference_jsonable(results) == manifest["results"]
 
     def test_kernel_and_seed_are_exclusive(self, capsys):
         assert run(["zero-train", "--kernel", "0.6,0.4", "--seed", "1"]) == 2

@@ -1,5 +1,7 @@
 import ast
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from relufreq import (
     sample_dataset,
     synthesize,
 )
+from relufreq.multitone import _sample_count
 
 
 def test_synthesize_zero_frequency_is_constant():
@@ -187,6 +190,19 @@ def test_a_grid_without_samples_names_duration_and_rate(build):
         build()
 
 
+def test_a_grid_past_sys_maxsize_bytes_names_duration_and_rate():
+    """np.arange(2**63) is empty; smaller grids past the limit raised numpy's unnamed size errors.
+
+    The largest float count within sys.maxsize // 8 passes; no grid is built for it.
+    """
+    limit = sys.maxsize // 8
+    largest = math.nextafter(float(limit + 1), 0.0)
+    assert _sample_count(largest, 1.0) == int(largest) <= limit
+    message = f"duration 1.0 s at sample_rate {float(limit + 1)} Hz has too many samples"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _sample_count(float(limit + 1), 1.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_signal_rejects_non_finite_samples(value):
     """A NaN sample once gave band_occupancy 0.0 and energy_fraction_above nan."""
@@ -311,13 +327,14 @@ def test_sample_dataset_rows_match_scalar_synthesis(seed):
 
 
 def test_each_input_rule_is_stated_once():
-    """Every seeded stream, rate, duration, sample count and rescale goes through one rule.
+    """Every seeded stream, rate, duration, sample count, rescale and DFT goes through one rule.
 
-    Counts PCG64, round and frexp calls and the rules' message texts in the
-    package source, so a second copy of a rule fails here. The one frexp call
-    is spectral._shift's, which every norm and energy ratio rescales with.
+    Counts PCG64, round, frexp and fft calls and the rules' message texts in
+    the package source, so a second copy of a rule fails here. The one frexp
+    call is spectral._shift's, which every norm and energy ratio rescales
+    with; the one fft call is spectral.spectrum's, on samples shifted by it.
     """
-    calls, texts, shift_source = [], [], ""
+    calls, texts, shift_source, spectrum_source = [], [], "", ""
     for path in sorted(Path(relufreq.__file__).parent.glob("*.py")):
         source = path.read_text()
         assert "float_info.min" not in source, f"{path.name}: rescale with spectral._shift"
@@ -328,8 +345,15 @@ def test_each_input_rule_is_stated_once():
                 texts.append(node.value)
             elif isinstance(node, ast.FunctionDef) and node.name == "_shift":
                 shift_source = ast.unparse(node)
+            elif isinstance(node, ast.FunctionDef) and node.name == "spectrum":
+                spectrum_source = ast.unparse(node)
     assert calls.count("PCG64") == 1, "build seeded streams with multitone._generator"
     assert calls.count("round") == 1, "take sample counts from multitone._sample_count"
     assert calls.count("frexp") == 1 and "frexp(" in shift_source, "rescale with spectral._shift"
-    for rule in ("sample_rate must be finite and > 0", "duration must be finite and > 0"):
+    assert calls.count("fft") == 1 and "fft(np.ldexp(" in spectrum_source, "use spectral.spectrum"
+    for rule in (
+        "sample_rate must be finite and > 0",
+        "duration must be finite and > 0",
+        "Hz has too many samples",
+    ):
         assert sum(rule in text for text in texts) == 1, rule

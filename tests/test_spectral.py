@@ -279,3 +279,20 @@ def test_energy_fraction_above_is_the_plain_formula_where_squares_are_normal(n, 
     folded = np.minimum(np.arange(n), n - np.arange(n)) * spec.bin_resolution
     plain = float(energy[folded > cutoff].sum() / energy.sum())
     assert energy_fraction_above(spec, cutoff) == plain
+
+
+def test_finite_samples_give_finite_bins():
+    """Samples near the float maximum once made the FFT overflow to inf and nan bins."""
+    spec = spectrum(Signal([1e308] * 4, 4.0))
+    assert spec.bins.tolist() == [1e308, 0.0, 0.0, 0.0]
+    assert band_occupancy(spec, 0.01) == 0.0
+    assert energy_fraction_above(spec, 0.5) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 299), st.integers(-300, 300), st.integers(0, 2**31 - 1))
+def test_spectrum_is_the_plain_formula_bit_for_bit(n, k, seed):
+    """Shifting the samples by a power of two and the bins back moves no bit of fft(x) / n."""
+    samples = np.random.default_rng(seed).standard_normal(n) * 10.0**k
+    expected = np.fft.fft(samples) / n
+    assert spectrum(Signal(samples, 64.0)).bins.tobytes() == expected.tobytes()
