@@ -68,13 +68,16 @@ def make_prototype_stack(
     return PrototypeStack(kind, depth, kernel, pool)
 
 
+def _causal(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Causal zero-padded convolution of one row; the output keeps the row's length."""
+    return np.convolve(x, taps)[: x.size]
+
+
 def conv1d(signal: Signal, kernel: Kernel) -> Signal:
     """Causal zero-padded convolution; output keeps the input length."""
-    n = len(signal)
-    if kernel.taps.size > n:
+    if kernel.taps.size > len(signal):
         raise ValueError("kernel longer than signal")
-    out = np.convolve(signal.samples, kernel.taps)[:n]
-    return Signal(out, signal.sample_rate)
+    return Signal(_causal(signal.samples, kernel.taps), signal.sample_rate)
 
 
 def fir_response(kernel: Kernel, frequencies: Sequence[float], sample_rate: float) -> np.ndarray:

@@ -176,12 +176,17 @@ class LabeledSet:
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        if not np.all((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))):
-            raise ValueError("labels must be integers >= 0")
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind in "biu":  # compared as integers, so no label rounds
+            valid = (labels >= 0) & (labels <= np.iinfo(int).max)
+        else:
+            labels = labels.astype(float)
+            valid = (labels >= 0) & (labels < 2.0**53) & (labels == np.floor(labels))
+        if not np.all(valid):
+            raise ValueError("labels must be integers >= 0, and float labels below 2**53")
         self.labels = labels.astype(int)
-        if self.inputs.ndim != 2:
-            raise ValueError("inputs must have shape (samples, length)")
+        if self.inputs.ndim != 2 or self.inputs.shape[1] == 0:
+            raise ValueError("inputs must have shape (samples, length) with length >= 1")
         if self.labels.shape != (len(self.inputs),):
             raise ValueError("inputs and labels must have equal length")
         if self.frequencies is not None:

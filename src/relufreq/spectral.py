@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def _shift(*arrays: np.ndarray) -> int:
     scale-free quantity taken on shifted values keeps the bits of the plain
     formula wherever that formula's squares stay normal.
     """
-    return -math.frexp(np.max([np.max(np.abs(a), initial=0.0) for a in arrays]))[1]
+    return -math.frexp(reduce(np.maximum, (np.abs(a).max(initial=0.0) for a in arrays)))[1]
 
 
 def _norm(values: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .convnets import Kernel, fir_response
+from .convnets import Kernel, _causal, fir_response
 from .errors import DegenerateInputError, DivergenceError
 from .multitone import (
     DatasetSpec,
@@ -540,11 +540,6 @@ def run_comparison(
 # ---------------------------------------------------------------------------
 # zero-training classifier
 
-# Per-sample DCs are computed over row slices of about this many samples
-# (16 rows of 2048), so each conv temporary, the zero partner channel's
-# padded input included, stays near 0.5 MB.
-_DC_SLICE_SAMPLES = 2**15
-
 
 def zero_train_eval(
     dataset: LabeledSet,
@@ -564,11 +559,6 @@ def zero_train_eval(
     is nearest-prototype classification of the same samples; a kernel whose
     per-sample DCs are not finite raises ValueError, and classes that share a
     mean DC raise DegenerateInputError.
-
-    A sample's DC is the row mean of relu of the causal 2-tap conv. It is
-    computed over consecutive row slices of the dataset; with one input
-    channel the conv of a row and its pairwise-summed mean do not depend on
-    how many rows share the call, so the DCs equal a whole-set call bit for bit.
     """
     if (kernel is None) == (seed is None):
         raise ValueError("provide exactly one of kernel or seed")
@@ -582,13 +572,8 @@ def zero_train_eval(
     if dataset.frequencies is None:
         raise ValueError("dataset must carry per-sample frequencies")
 
-    x = dataset.inputs
-    rows = max(1, _DC_SLICE_SAMPLES // x.shape[1])
-    dcs = np.empty(x.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
-        for start in range(0, x.shape[0], rows):
-            conv = _conv_forward(x[start : start + rows, None, :], taps[None, None, :])[:, 0, :]
-            dcs[start : start + rows] = np.maximum(conv, 0.0).mean(axis=1)
+        dcs = np.array([np.maximum(_causal(row, taps), 0.0).mean() for row in dataset.inputs])
     if not np.isfinite(dcs).all():
         raise ValueError(f"kernel {taps.tolist()} overflows the per-sample DCs")
     labels, freqs = dataset.labels, dataset.frequencies

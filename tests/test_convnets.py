@@ -1,8 +1,11 @@
+import ast
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relufreq
 from relufreq import (
     Kernel,
     MultiTone,
@@ -242,3 +245,22 @@ def test_kernel_keeps_a_copy_and_leaves_the_callers_array_writable():
     taps[0] = 2.0
     assert taps.flags.writeable
     assert kernel.taps.tolist() == [1.0, -1.0]
+
+
+def test_each_conv_serves_one_family():
+    """np.convolve runs once, in convnets._causal; the trainer's batched conv only in forward.
+
+    The fixed-kernel experiments (proto, heart-demo, zero-train) take the
+    first and training takes the second. Routing the prototype stacks
+    through the batched conv sums kernels of more than 2 taps in another
+    order and moves the proto and heart-demo artifacts.
+    """
+    calls, sources = [], {}
+    for path in sorted(Path(relufreq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                calls.append(getattr(node.func, "attr", getattr(node.func, "id", None)))
+            elif isinstance(node, ast.FunctionDef):
+                sources[f"{path.stem}.{node.name}"] = ast.unparse(node)
+    assert calls.count("convolve") == 1 and "np.convolve(" in sources["convnets._causal"]
+    assert calls.count("_conv_forward") == 1 and "_conv_forward(" in sources["trainer.forward"]

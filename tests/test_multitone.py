@@ -301,6 +301,21 @@ class TestSampleDataset:
         with pytest.raises(ValueError, match="labels must be integers >= 0"):
             LabeledSet(ds.inputs, labels, ds.sample_rate)
 
+    def test_labeled_set_keeps_integer_labels_exact(self):
+        """Labels went through float64: 2**53 + 1 was stored as 2**53 and 2**63 - 1 rejected."""
+        inputs = np.zeros((3, 4))
+        for top in (2**53 + 1, 2**63 - 1):
+            assert LabeledSet(inputs, [0, 1, top], 8.0).labels.tolist() == [0, 1, top]
+        assert LabeledSet(inputs, [0.0, 1.0, 2.0**53 - 1], 8.0).labels[-1] == 2**53 - 1
+        for labels in ([0.0, 1.0, 2.0**53], np.array([0, 1, 2**63], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="labels must be integers >= 0"):
+                LabeledSet(inputs, labels, 8.0)
+
+    def test_labeled_set_rejects_rows_of_no_samples(self):
+        """Empty rows once reached zero_train_eval, which raised a raw ZeroDivisionError."""
+        with pytest.raises(ValueError, match="length >= 1"):
+            LabeledSet(np.zeros((3, 0)), [0, 1, 2], 8.0, [1.0, 2.0, 3.0])
+
 
 def box_muller_reference(spec, seed):
     """Scalar draws: class-major, two uniforms per sample, u1 taken from (0, 1]."""

@@ -21,6 +21,7 @@ from relufreq import (
     spectrum,
     synthesize,
 )
+from relufreq.spectral import _shift
 
 
 def naive_dft(samples):
@@ -296,3 +297,26 @@ def test_spectrum_is_the_plain_formula_bit_for_bit(n, k, seed):
     samples = np.random.default_rng(seed).standard_normal(n) * 10.0**k
     expected = np.fft.fft(samples) / n
     assert spectrum(Signal(samples, 64.0)).bins.tobytes() == expected.tobytes()
+
+
+finite_arrays = st.one_of(
+    st.integers(0, 8).map(np.zeros),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16).map(np.array),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_arrays, finite_arrays)
+@example(np.zeros(4), np.array([0.1]))  # an all-zero array bounds no shift from above
+@example(np.array([-1e308]), np.array([5e-324]))
+def test_two_array_shift_is_the_shift_of_their_concatenation(a, b):
+    assert _shift(a, b) == _shift(b, a) == _shift(np.concatenate([a, b]))
+
+
+@pytest.mark.parametrize("peak", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_value_in_either_array_gives_shift_0(peak):
+    """np.maximum carries a NaN through the reduction; Python's max would drop it in one order."""
+    other = np.array([0.25])
+    assert _shift(other) == 1
+    assert _shift(np.array([peak, 0.0])) == _shift(other, np.array([peak])) == 0
+    assert _shift(np.array([peak]), other) == 0

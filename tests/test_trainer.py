@@ -40,6 +40,7 @@ from relufreq import (
 )
 from relufreq import trainer
 from relufreq.cli import DEFAULT_ZERO_KERNEL, ZERO_TRAIN_SPEC, _quartiles
+from relufreq.convnets import _causal
 from relufreq.trainer import (
     _comparison_architecture,
     _conv_forward,
@@ -1189,26 +1190,46 @@ def zero_train_set():
 
 
 def whole_set_dcs(inputs, taps):
-    """The per-sample DCs from one conv over every row: the sliced path's reference."""
+    """The per-sample DCs from the trainer's batched conv over every row: an independent oracle."""
     conv = _conv_forward(inputs[:, None, :], taps[None, None, :])[:, 0, :]
     return np.maximum(conv, 0.0).mean(axis=1)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 32, 300])
 @pytest.mark.parametrize("kernel", [DEFAULT_ZERO_KERNEL, 0, 5], ids=["default", "seed0", "seed5"])
-def test_sliced_dcs_equal_the_whole_set_conv(rows, kernel, monkeypatch):
-    """Row slices of any size give the whole-set DCs bit for bit.
+def test_zero_train_dcs_equal_the_batched_conv(kernel):
+    """zero_train_eval's per-row np.convolve DCs equal the trainer's batched conv bit for bit.
 
     A kernel tuple is used as given; an integer draws a seeded kernel.
     """
     ds = zero_train_set()
-    length = ds.inputs.shape[1]
-    monkeypatch.setattr(trainer, "_DC_SLICE_SAMPLES", rows * length)
     if isinstance(kernel, int):
         taps, dcs, _ = zero_train_eval(ds, seed=kernel)
     else:
         taps, dcs, _ = zero_train_eval(ds, kernel=Kernel(np.array(kernel)))
     assert_bitwise_equal(dcs, whole_set_dcs(ds.inputs, taps))
+
+
+two_tap = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-20, 20)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_tap, two_tap, st.integers(1, 20), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(1.0, 0.0, 1, 1, 0)
+@example(-0.0, 1e-20, 3, 2, 1)
+def test_one_row_conv_dcs_equal_the_batched_conv(t0, t1, rows, length, seed):
+    """A 2-tap output is a sum of two products, so np.convolve and the batched conv agree bitwise.
+
+    Zero taps and rows that start with -0.0 make zero products of either sign.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, length)) * 10.0 ** rng.integers(-20, 21, (rows, 1))
+    x[rng.random(rows) < 0.5, 0] = -0.0
+    taps = np.array([t0, t1])
+    dcs = np.array([np.maximum(_causal(row, taps), 0.0).mean() for row in x])
+    assert_bitwise_equal(dcs, whole_set_dcs(x, taps))
 
 
 def test_class_mean_dcs_follow_the_dc_law_over_random_kernels():
