@@ -193,6 +193,9 @@ class LabeledSet:
             self.frequencies = np.asarray(self.frequencies, dtype=float)
             if self.frequencies.shape != self.labels.shape:
                 raise ValueError("frequencies must match inputs in length")
+        for name, values in (("inputs", self.inputs), ("frequencies", self.frequencies)):
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
         _check_rate(self.sample_rate)
 
     def __len__(self) -> int:

@@ -145,23 +145,23 @@ class TrainingRecord:
 # batched causal convolution
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (B, C, L), w (O, C, K) -> (B, O, L); causal zero padding keeps L.
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """x (B, C, L), w (O, C, K), bias b (O,) or none -> (B, O, L); causal zero padding keeps L.
 
     Summation-order contract, on which the byte-identity of the training
-    artifacts rests: out[b, o, l] = ((t_0 + t_1) + ...) + t_{K-1}, taps added
-    in index order, where t_n = sum_c w[o, c, n] x[b, c, l - n] carries the
-    bits of the matching entry of one stacked (K*O, C) @ (C, B*L) matmul (see
-    _shifted_products). Taps that reach before the row start add an exact
-    zero, which the bias add in forward() makes identical to adding nothing.
+    artifacts rests: out[b, o, l] = (((t_0 + t_1) + ...) + t_{K-1}) + b[o],
+    taps added in index order, where t_n = sum_c w[o, c, n] x[b, c, l - n]
+    carries the bits of the matching entry of one stacked (K*O, C) @ (C, B*L)
+    matmul (see _shifted_products). Taps that reach before the row start add
+    an exact zero, which the bias add makes identical to adding nothing.
     The bits also assume that BLAS runs the same kernel for the per-tap
     product as for the stacked one; OpenBLAS picks its dgemm kernel by size.
     """
-    out = _shifted_products(w.transpose(2, 0, 1), x.transpose(1, 0, 2), advance=False)
+    out = _shifted_products(w.transpose(2, 0, 1), x.transpose(1, 0, 2), advance=False, bias=b)
     return out.transpose(1, 0, 2)
 
 
-def _shifted_products(taps: np.ndarray, x: np.ndarray, advance: bool) -> np.ndarray:
+def _shifted_products(taps: np.ndarray, x: np.ndarray, advance: bool, bias=None) -> np.ndarray:
     """taps (K, R, I), x (I, B, L) -> (R, B, L) sum of the products p_n = taps[n] @ x, shifted.
 
     Each row is laid out with K-1 zeros before it, or after it when advance,
@@ -172,7 +172,8 @@ def _shifted_products(taps: np.ndarray, x: np.ndarray, advance: bool) -> np.ndar
     0.0 + w * x; a zero partner channel lets BLAS compute w * x + 0 * 0,
     which has the same bits in any summation order. A single-row product
     would go to gemv, which sums in another order than gemm, so single-row
-    taps stay stacked; the other products of taps 1..K-1 share one buffer.
+    taps stay stacked; the other products of taps 1..K-1 share one buffer. A
+    bias (R,) goes on each row after the last tap.
     """
     k, rows, inner = taps.shape
     _, b, length = x.shape
@@ -192,6 +193,8 @@ def _shifted_products(taps: np.ndarray, x: np.ndarray, advance: bool) -> np.ndar
     for n, product in enumerate(products, 1):
         dst, src = (slice(0, -n), slice(n, None)) if advance else (slice(n, None), slice(0, -n))
         out[:, dst] += product[:, src]
+    if bias is not None:
+        out += bias[:, None]
     return out.reshape(rows, b, padded)[:, :, data]
 
 
@@ -256,41 +259,39 @@ def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
     acts = x[:, None, :]
     conv_caches = []
     for i, spec in enumerate(arch.conv_layers):
-        pre = _conv_forward(acts, params[i]["w"]) + params[i]["b"][None, :, None]
+        pre = _conv_forward(acts, params[i]["w"], params[i]["b"])
         conv_caches.append({"input": acts, "pre": pre})
         acts = np.maximum(pre, 0.0) if spec.activation == RELU else pre
     feat = acts.mean(axis=2)
-    n_conv = len(arch.conv_layers)
-    hidden_pre = feat @ params[n_conv]["w"] + params[n_conv]["b"]
+    hidden_pre = feat @ params[-2]["w"] + params[-2]["b"]
     hidden = np.maximum(hidden_pre, 0.0)
-    logits = hidden @ params[n_conv + 1]["w"] + params[n_conv + 1]["b"]
-    cache = {
-        "theta": net.theta.copy(),
-        "conv": conv_caches,
-        "feat": feat,
-        "hidden_pre": hidden_pre,
-        "hidden": hidden,
-        "logits": logits,
-    }
+    logits = hidden @ params[-1]["w"] + params[-1]["b"]
+    cache = dict(theta=net.theta.copy(), conv=conv_caches, feat=feat, hidden_pre=hidden_pre,
+                 hidden=hidden, logits=logits)
     return logits, cache
 
 
-def _cross_entropy(logits: np.ndarray, labels) -> Tuple[float, np.ndarray]:
-    """Mean cross entropy of integer labels under softmax(logits), and that softmax."""
-    n_rows, n_classes = logits.shape
+def _labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
+    """labels as ints once they are n_rows >= 1 integers in 0..n_classes - 1, else ValueError."""
     y = np.asarray(labels, dtype=float)
     valid = np.all((y >= 0) & (y < n_classes) & (y == np.floor(y)))
     if not (n_rows and y.shape == (n_rows,) and valid):
         raise ValueError(f"labels must be {n_rows} integers in 0..{n_classes - 1}")
+    return y.astype(int)
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean cross entropy of checked int labels under softmax(logits), and that softmax."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    return float(-(z - np.log(total))[np.arange(n_rows), y.astype(int)].mean()), e / total
+    return float(-(z - np.log(total))[np.arange(len(y)), y].mean()), e / total
 
 
 def loss_sparse_ce(logits: np.ndarray, labels) -> float:
     """Mean cross entropy of integer labels under softmax(logits), max-stabilized."""
-    return _cross_entropy(np.asarray(logits, dtype=float), labels)[0]
+    logits = np.asarray(logits, dtype=float)
+    return _cross_entropy(logits, _labels(labels, *logits.shape))[0]
 
 
 def backward(net: Network, cache: dict, labels) -> np.ndarray:
@@ -298,30 +299,34 @@ def backward(net: Network, cache: dict, labels) -> np.ndarray:
 
     The batch's loss_sparse_ce comes from the same softmax and is recorded as
     cache["loss"]. The stale-cache check compares bits, so NaN parameters pass it.
+    Both raise ValueError unless labels are one integer in 0..n_classes-1 per row.
     """
     if cache["theta"].tobytes() != net.theta.tobytes():
         raise ValueError("stale cache: forward was run with different parameters")
+    y = _labels(labels, *cache["logits"].shape)
     arch = net.architecture
-    params = layer_views(arch, net.theta)
     grad = np.zeros_like(net.theta)
-    grads = layer_views(arch, grad)
-    n_conv = len(arch.conv_layers)
+    cache["loss"] = _backward(arch, layer_views(arch, net.theta), layer_views(arch, grad), cache, y)
+    return grad
 
-    cache["loss"], dlogits = _cross_entropy(cache["logits"], labels)
-    dlogits[np.arange(len(dlogits)), np.asarray(labels, dtype=int)] -= 1.0
+
+def _backward(arch: Architecture, params: list, grads: list, cache: dict, y: np.ndarray) -> float:
+    """backward's unchecked core: writes every entry of the grads views; returns the loss."""
+    loss, dlogits = _cross_entropy(cache["logits"], y)
+    dlogits[np.arange(len(dlogits)), y] -= 1.0
     dlogits /= len(dlogits)
 
-    grads[n_conv + 1]["w"][...] = cache["hidden"].T @ dlogits
-    grads[n_conv + 1]["b"][...] = dlogits.sum(axis=0)
-    dhidden = dlogits @ params[n_conv + 1]["w"].T
+    grads[-1]["w"][...] = cache["hidden"].T @ dlogits
+    grads[-1]["b"][...] = dlogits.sum(axis=0)
+    dhidden = dlogits @ params[-1]["w"].T
     dhidden_pre = dhidden * (cache["hidden_pre"] > 0)
-    grads[n_conv]["w"][...] = cache["feat"].T @ dhidden_pre
-    grads[n_conv]["b"][...] = dhidden_pre.sum(axis=0)
-    dfeat = dhidden_pre @ params[n_conv]["w"].T
+    grads[-2]["w"][...] = cache["feat"].T @ dhidden_pre
+    grads[-2]["b"][...] = dhidden_pre.sum(axis=0)
+    dfeat = dhidden_pre @ params[-2]["w"].T
 
     out_shape = cache["conv"][-1]["pre"].shape
     dacts = np.broadcast_to(dfeat[:, :, None] / out_shape[2], out_shape)
-    for i in range(n_conv - 1, -1, -1):
+    for i in reversed(range(len(arch.conv_layers))):
         layer_cache = cache["conv"][i]
         relu = arch.conv_layers[i].activation == RELU
         dpre = dacts * (layer_cache["pre"] > 0) if relu else dacts
@@ -330,7 +335,7 @@ def backward(net: Network, cache: dict, labels) -> np.ndarray:
         grads[i]["b"][...] = dpre.sum(axis=(0, 2))
         if i > 0:
             dacts = _conv_input_grad(params[i]["w"], dpre)
-    return grad
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +356,17 @@ def adam_step(
 ) -> Tuple[AdamState, np.ndarray]:
     """One bias-corrected Adam update with the settings ADAM holds when it is called."""
     _check_same_shape("adam_step", theta, grad, state.first_moment, state.second_moment)
-    t = state.step_count + 1
+    m, v, theta = (np.array(a, float) for a in (state.first_moment, state.second_moment, theta))
+    _adam_update(m, v, theta, grad, state.step_count + 1)
+    return AdamState(m, v, state.step_count + 1), theta
+
+
+def _adam_update(m: np.ndarray, v: np.ndarray, theta: np.ndarray, grad: np.ndarray, t: int) -> None:
+    """adam_step's core: Adam's step t updates the moments m, v and theta in place."""
     b1, b2 = ADAM["beta1"], ADAM["beta2"]
-    m = b1 * state.first_moment + (1.0 - b1) * grad
-    v = b2 * state.second_moment + (1.0 - b2) * grad * grad
-    step = ADAM["lr"] * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM["epsilon"])
-    return AdamState(m, v, t), theta - step
+    m[...] = b1 * m + (1.0 - b1) * grad
+    v[...] = b2 * v + (1.0 - b2) * grad * grad
+    theta -= ADAM["lr"] * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM["epsilon"])
 
 
 def weight_distance(arch: Architecture, theta0: np.ndarray, theta1: np.ndarray) -> List[float]:
@@ -382,37 +392,38 @@ def train(
     products in the head do only while every slice has a multiple of 4 rows,
     as the defaults (900 rows in slices of 32, the last of 4) have. Other
     shapes can move a logit by one ulp against a whole-set forward(), which
-    changes the accuracy only at an exact argmax tie.
+    changes the accuracy only at an exact argmax tie. Labels are checked once,
+    before any step, as backward() checks them; train leaves net.theta unchanged.
     """
     if len(trainset) == 0:
         raise ValueError("trainset must be non-empty")
     epochs = _size("epochs", epochs, 0)
     batch_size = _size("batch_size", batch_size, 1)
-    x, y = trainset.inputs, trainset.labels
-    rng = _generator("seed", seed)
     arch = net.architecture
+    x, y = trainset.inputs, _labels(trainset.labels, len(trainset), arch.n_classes)
+    rng = _generator("seed", seed)
     n_conv = len(arch.conv_layers)
-    theta0 = net.theta.copy()
+    theta0 = net.theta
     curves = {"loss": np.empty(epochs), "distance": np.zeros((n_conv, epochs + 1))}
-    state = init_adam_state(net.theta)
-    current = net
+    # each step: forward, then backward's and adam_step's cores on buffers made once
+    current = replace(net, theta=np.array(theta0, dtype=float))
+    grad, m, v = (np.zeros_like(current.theta) for _ in range(3))
+    params, grads = layer_views(arch, current.theta), layer_views(arch, grad)
+    starts = range(0, y.size, batch_size)
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(y.size)
         batch_losses = []
-        for batch, start in enumerate(range(0, y.size, batch_size), 1):
+        for batch, start in enumerate(starts, 1):
             idx = perm[start : start + batch_size]
             _, cache = forward(current, x[idx])
-            grad = backward(current, cache, y[idx])
-            loss = cache["loss"]
+            loss = _backward(arch, params, grads, cache, y[idx])
             if not math.isfinite(loss):
                 raise DivergenceError(f"loss is {loss} at epoch {epoch}, batch {batch}")
             batch_losses.append(loss)
-            state, theta = adam_step(state, current.theta, grad)
-            current = replace(current, theta=theta)
+            _adam_update(m, v, current.theta, grad, (epoch - 1) * len(starts) + batch)
         curves["loss"][epoch - 1] = np.mean(batch_losses)
         # the dense-head distances are not recorded
         curves["distance"][:, epoch] = weight_distance(arch, theta0, current.theta)[:n_conv]
-    starts = range(0, y.size, batch_size)
     logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
     return TrainingRecord(curves, np.mean(np.argmax(logits, axis=1) == y), arch)
 
@@ -520,6 +531,10 @@ def run_comparison(
     if workers == 1:
         reps = list(map(task, seeds))
     else:
+        # glibc mmaps a block above its mmap threshold, and freeing an mmapped block
+        # raises that threshold to its size and the trim threshold to twice that:
+        # one untouched 2 MiB block freed here spares the workers re-faulting temporaries.
+        np.empty(1 << 18)
         # imported here so that importing the package does not load them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -316,6 +316,15 @@ class TestSampleDataset:
         with pytest.raises(ValueError, match="length >= 1"):
             LabeledSet(np.zeros((3, 0)), [0, 1, 2], 8.0, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["inputs", "frequencies"])
+    def test_labeled_set_rejects_non_finite_values_naming_the_field(self, field, bad):
+        """A NaN row once reached zero_train_eval, which blamed the kernel for overflowing."""
+        values = {"inputs": np.ones((3, 4)), "frequencies": np.array([1.0, 2.0, 3.0])}
+        values[field].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            LabeledSet(values["inputs"], [0, 1, 2], 8.0, values["frequencies"])
+
 
 def box_muller_reference(spec, seed):
     """Scalar draws: class-major, two uniforms per sample, u1 taken from (0, 1]."""

@@ -2,7 +2,10 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache, partial
@@ -846,6 +849,83 @@ class TestTrain:
         assert a.curves["distance"].shape == (1, 5)
 
 
+def reference_train(net, trainset, epochs, batch_size, seed):
+    """train's curves and final accuracy from the public forward -> backward -> adam_step.
+
+    Every adam_step must leave the state, theta and gradient it is given unchanged.
+    """
+    arch, x, y = net.architecture, trainset.inputs, trainset.labels
+    n_conv = len(arch.conv_layers)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state, current = init_adam_state(net.theta), net
+    losses, distances = [], [[0.0] * n_conv]
+    starts = range(0, y.size, batch_size)
+    for _ in range(epochs):
+        perm = rng.permutation(y.size)
+        batch_losses = []
+        for start in starts:
+            idx = perm[start : start + batch_size]
+            _, cache = forward(current, x[idx])
+            grad = backward(current, cache, y[idx])
+            batch_losses.append(cache["loss"])
+            given = (state.first_moment, state.second_moment, current.theta, grad)
+            copies = [a.copy() for a in given]
+            new_state, theta = adam_step(state, current.theta, grad)
+            for a, copy in zip(given, copies):
+                assert_bitwise_equal(a, copy)
+            assert new_state.step_count == state.step_count + 1
+            state, current = new_state, replace(current, theta=theta)
+        losses.append(np.mean(batch_losses))
+        distances.append(weight_distance(arch, net.theta, current.theta)[:n_conv])
+    logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
+    return np.array(losses), np.array(distances).T, np.mean(np.argmax(logits, axis=1) == y)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("activation", ["relu", "linear"])
+@pytest.mark.parametrize("trainset", ["default", "toy"])
+def test_train_equals_the_public_step_loop(trainset, activation, seed):
+    """train's in-place step has the bits of forward, backward and adam_step called per batch.
+
+    The default set trains 900 rows in batches of 32, the last of 4; the toy
+    set 32 rows in batches of 7, the last of 4.
+    """
+    if trainset == "default":
+        arch = _comparison_architecture(activation, default_dataset_spec())
+        data, batch_size = sample_dataset(default_dataset_spec(), seed), 32
+    else:
+        arch = Architecture((ConvLayerSpec(2, 3, activation),), 4, 2, 16)
+        data, batch_size = toy_separable_set(), 7
+    net = init_network(arch, seed)
+    theta = net.theta.copy()
+    record = train(net, data, 2, batch_size, seed=seed + 10)
+    assert_bitwise_equal(net.theta, theta)
+    loss, distance, accuracy = reference_train(net, data, 2, batch_size, seed + 10)
+    assert_bitwise_equal(record.curves["loss"], loss)
+    assert_bitwise_equal(record.curves["distance"], distance)
+    assert_bitwise_equal(np.array(record.final_accuracy), np.array(accuracy))
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_a_label_beyond_the_classes_fails_before_any_forward(epochs, monkeypatch):
+    """train once trained up to the batch holding the label, and at 0 epochs did not raise."""
+    calls = []
+    forward_ = trainer.forward
+
+    def counting_forward(*args):
+        calls.append(1)
+        return forward_(*args)
+
+    monkeypatch.setattr(trainer, "forward", counting_forward)
+    toy = toy_separable_set()
+    labels = toy.labels.copy()
+    labels[-1] = 2
+    trainset = LabeledSet(toy.inputs, labels, toy.sample_rate)
+    with pytest.raises(ValueError, match=r"labels must be 32 integers in 0\.\.1"):
+        train(init_network(TestTrain.arch, 0), trainset, epochs, 8)
+    assert calls == []
+
+
 def generic_comparison_net(activation, seed):
     """A train-compare network with every parameter, biases included, off its init."""
     net = init_network(_comparison_architecture(activation, default_dataset_spec()), seed)
@@ -1075,6 +1155,41 @@ def test_worker_count_is_usable_cores_capped_at_the_repetitions(monkeypatch):
     assert trainer._worker_count(100) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert trainer._worker_count(100) == 1
+
+
+# run_comparison's second call in a fresh process; it prints its workers' minor faults
+WORKER_FAULTS = """
+import resource
+from relufreq.trainer import run_comparison
+run_comparison(2, 0, 10)
+before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+run_comparison(2, 0, 10)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the warm-up block relies on glibc's mmap threshold"
+)
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="run_comparison forks workers only on 2 or more usable cores",
+)
+def test_workers_fork_from_a_warmed_allocator():
+    """The workers of a fresh process's run_comparison(2, 0, 10) take under 10k minor faults.
+
+    Measured on a 2-core VM (glibc 2.36, numpy 2.4 with OpenBLAS 0.3.31, one
+    BLAS thread): about 3.4k with the 2 MiB block freed before the fork, and
+    29.3k without it, because the workers then give their step temporaries
+    back to the system and fault them in again step after step.
+    """
+    src = os.path.dirname(os.path.dirname(trainer.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", WORKER_FAULTS], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(run.stdout) < 10_000
 
 
 def test_first_conv_relu_activation_of_cosines_has_positive_mean():
