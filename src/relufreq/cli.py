@@ -417,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zero-train", help="untrained 2-tap DC classifier evaluation")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--kernel", type=_parse_kernel, default=None, metavar="W0,W1")
+    group.add_argument("--kernel", type=_parse_kernel, default=None, metavar="W0,W1",
+                       help="two comma-separated taps; write --kernel=W0,W1 when W0 is negative")
     group.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_zero_train)

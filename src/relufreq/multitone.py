@@ -14,8 +14,8 @@ from .errors import AliasingError, EmptyToneError
 
 
 def _size(name: str, value, low: int) -> int:
-    """value as an int >= low; numpy integers pass, 2.0 and "3" do not."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """value as an int >= low; numpy integers pass, True, 2.0 and "3" do not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return operator.index(value)
 

@@ -90,10 +90,11 @@ def _layout(arch: Architecture) -> Tuple[int, Tuple[Tuple[slice, Tuple[int, ...]
 
 
 def layer_views(arch: Architecture, theta: np.ndarray) -> List[Dict[str, np.ndarray]]:
-    """Per-layer {"w", "b"} views into a parameter-layout vector (writes go through)."""
+    """Per-layer {"w", "b"} views into a parameter-layout ndarray (writes go through)."""
     size, layers = _layout(arch)
-    if np.shape(theta) != (size,):
-        raise ValueError(f"expected a parameter vector of shape ({size},), got {np.shape(theta)}")
+    if not isinstance(theta, np.ndarray) or theta.shape != (size,):
+        got = f"{type(theta).__name__} of shape {np.shape(theta)}"
+        raise ValueError(f"expected a parameter vector, an ndarray of shape ({size},), got {got}")
     return [{"w": theta[taps].reshape(shape), "b": theta[bias]} for taps, shape, bias in layers]
 
 
@@ -151,51 +152,35 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) 
     Summation-order contract, on which the byte-identity of the training
     artifacts rests: out[b, o, l] = (((t_0 + t_1) + ...) + t_{K-1}) + b[o],
     taps added in index order, where t_n = sum_c w[o, c, n] x[b, c, l - n]
-    carries the bits of the matching entry of one stacked (K*O, C) @ (C, B*L)
-    matmul (see _shifted_products). Taps that reach before the row start add
-    an exact zero, which the bias add makes identical to adding nothing.
-    The bits also assume that BLAS runs the same kernel for the per-tap
-    product as for the stacked one; OpenBLAS picks its dgemm kernel by size.
+    has the bits of its entry of one stacked (K*O, C) @ (C, B*L) matmul.
+    Rows get K-1 leading zeros, so tap n is one contiguous add; taps before
+    the row start add an exact zero, which the bias add makes identical to
+    adding nothing. One input channel gets a zero partner, so BLAS computes
+    w * x + 0 * 0, whose bits no summation order changes, where numpy's own
+    loop would compute 0.0 + w * x. One filter keeps its taps stacked: a
+    one-row product goes to gemv, which sums in another order than gemm.
+    The bits also assume that BLAS runs the same kernel per tap as stacked;
+    OpenBLAS picks its dgemm kernel by size.
     """
-    out = _shifted_products(w.transpose(2, 0, 1), x.transpose(1, 0, 2), advance=False, bias=b)
-    return out.transpose(1, 0, 2)
-
-
-def _shifted_products(taps: np.ndarray, x: np.ndarray, advance: bool, bias=None) -> np.ndarray:
-    """taps (K, R, I), x (I, B, L) -> (R, B, L) sum of the products p_n = taps[n] @ x, shifted.
-
-    Each row is laid out with K-1 zeros before it, or after it when advance,
-    so that tap n is one contiguous add: column l adds p_n[..., l - n], or
-    p_n[..., l + n] when advance, in index order from tap 0. Each product has
-    the bits of its rows of the stacked (K*R, I) @ (I, B*L) matmul. For an
-    inner length of 1 numpy computes that matmul in its own slow loop as
-    0.0 + w * x; a zero partner channel lets BLAS compute w * x + 0 * 0,
-    which has the same bits in any summation order. A single-row product
-    would go to gemv, which sums in another order than gemm, so single-row
-    taps stay stacked; the other products of taps 1..K-1 share one buffer. A
-    bias (R,) goes on each row after the last tap.
-    """
-    k, rows, inner = taps.shape
-    _, b, length = x.shape
+    batch, inner, length = x.shape
+    rows, _, k = w.shape
     channels, padded = max(inner, 2), length + k - 1
-    data = slice(0, length) if advance else slice(k - 1, padded)
     lhs = np.zeros((k, rows, channels))
-    lhs[:, :, :inner] = taps
-    rhs = np.zeros((channels, b, padded))
-    rhs[:inner, :, data] = x
-    rhs = rhs.reshape(channels, b * padded)
+    lhs[:, :, :inner] = w.transpose(2, 0, 1)
+    rhs = np.zeros((channels, batch, padded))
+    rhs[:inner, :, k - 1 :] = x.transpose(1, 0, 2)
+    rhs = rhs.reshape(channels, batch * padded)
     if rows == 1:
         stacked = lhs.reshape(k, channels) @ rhs
         out, products = stacked[:1], (stacked[n : n + 1] for n in range(1, k))
     else:
-        out, buf = lhs[0] @ rhs, np.empty((rows, b * padded))
+        out, buf = lhs[0] @ rhs, np.empty((rows, batch * padded))
         products = (np.matmul(lhs[n], rhs, out=buf) for n in range(1, k))
     for n, product in enumerate(products, 1):
-        dst, src = (slice(0, -n), slice(n, None)) if advance else (slice(n, None), slice(0, -n))
-        out[:, dst] += product[:, src]
-    if bias is not None:
-        out += bias[:, None]
-    return out.reshape(rows, b, padded)[:, :, data]
+        out[:, n:] += product[:, :-n]
+    if b is not None:
+        out += b[:, None]
+    return out.reshape(rows, batch, padded)[:, :, k - 1 :].transpose(1, 0, 2)
 
 
 def _conv_weight_grad(x: np.ndarray, dout: np.ndarray, kernel_size: int) -> np.ndarray:
@@ -218,13 +203,17 @@ def _conv_weight_grad(x: np.ndarray, dout: np.ndarray, kernel_size: int) -> np.n
 def _conv_input_grad(w: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Gradient of the causal convolution w.r.t. its (B, C, L) input.
 
-    dx[b, c, m] = sum_n sum_o w[o, c, n] dout[b, o, m + n], taps added in
-    index order as in _conv_forward. The result is laid out (C, B, L) in memory.
+    dx[b, c, m] = sum_n sum_o w[o, c, n] dout[b, o, m + n] is the causal conv
+    of the time-reversed dout with the channel-transposed taps, reversed
+    back, so its taps add in _conv_forward's order. One tap shifts nothing
+    and keeps dout's order: a one-channel product goes to gemv, whose bits
+    depend on where a column sits. dx is copied out (C, B, L)-contiguous,
+    because backward() sums it for a linear conv layer's bias gradient and
+    numpy sums a strided array in another order.
     """
-    dx = _shifted_products(w.transpose(2, 1, 0), dout.transpose(1, 0, 2), advance=True)
-    # copied out contiguous: numpy sums a strided array in another order, and
-    # backward() sums this one for the bias gradient of a linear conv layer
-    return np.ascontiguousarray(dx).transpose(1, 0, 2)
+    order = slice(None, None, -1 if w.shape[2] > 1 else 1)
+    dx = _conv_forward(dout[:, :, order], w.transpose(1, 0, 2))[:, :, order]
+    return np.ascontiguousarray(dx.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -842,6 +842,15 @@ class TestZeroTrain:
         assert run(["zero-train", "--kernel", "0.6,0.4", "--seed", "1"]) == 2
         capsys.readouterr()
 
+    def test_a_negative_first_tap_takes_the_equals_form(self, tmp_path, capsys):
+        """argparse reads a bare -0.5,1 as an option, so --help names --kernel=W0,W1."""
+        assert run(["zero-train", "--help"]) == 0
+        assert "--kernel=W0,W1 when W0 is negative" in " ".join(capsys.readouterr().out.split())
+        assert run(["zero-train", "--kernel=-0.5,1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        config = json.loads(read(tmp_path / "manifest.json"))["full_config"]
+        assert config["kernel_taps"] == [-0.5, 1.0]
+
     def test_bad_kernel_string_exits_2(self, capsys):
         assert run(["zero-train", "--kernel", "0.6"]) == 2
         capsys.readouterr()

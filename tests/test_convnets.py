@@ -248,19 +248,29 @@ def test_kernel_keeps_a_copy_and_leaves_the_callers_array_writable():
 
 
 def test_each_conv_serves_one_family():
-    """np.convolve runs once, in convnets._causal; the trainer's batched conv only in forward.
+    """np.convolve runs once, in convnets._causal; the trainer's batched conv only in training.
 
     The fixed-kernel experiments (proto, heart-demo, zero-train) take the
-    first and training takes the second. Routing the prototype stacks
+    first and training takes the second: trainer.forward calls _conv_forward,
+    and so does _conv_input_grad, on the time-reversed gradient. No convnets
+    function and not zero_train_eval calls it. Routing the prototype stacks
     through the batched conv sums kernels of more than 2 taps in another
     order and moves the proto and heart-demo artifacts.
     """
-    calls, sources = [], {}
+    def called(call):
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+    calls, sources, callers = [], {}, {"convolve": set(), "_conv_forward": set()}
     for path in sorted(Path(relufreq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
-                calls.append(getattr(node.func, "attr", getattr(node.func, "id", None)))
+                calls.append(called(node))
             elif isinstance(node, ast.FunctionDef):
                 sources[f"{path.stem}.{node.name}"] = ast.unparse(node)
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and called(call) in callers:
+                        callers[called(call)].add(f"{path.stem}.{node.name}")
     assert calls.count("convolve") == 1 and "np.convolve(" in sources["convnets._causal"]
-    assert calls.count("_conv_forward") == 1 and "_conv_forward(" in sources["trainer.forward"]
+    assert callers["convolve"] == {"convnets._causal"}
+    assert calls.count("_conv_forward") == 2
+    assert callers["_conv_forward"] == {"trainer.forward", "trainer._conv_input_grad"}

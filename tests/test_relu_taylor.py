@@ -410,3 +410,50 @@ class TestDcModel:
             gains = [1.0, 1.0, 1.0]
             gains[i] = 1.5
             assert dc_model(amps, gains) >= base
+
+
+def series_harmonics(amplitudes, n_terms, f0=5.0, sample_rate=1024.0, duration=1.0):
+    """The truncated series' DFT / N in closed form, for zero-phase harmonics of f0.
+
+    x = sum_k a_k cos(k theta) has the coefficients a_k / 2 at harmonics +-k,
+    so u = x^2 / A - 1 is one np.convolve of them, and u^n is n of them.
+    x / 2 + sqrt(A) / 2 * sum_n c_n u^n then has exact coefficients at
+    harmonics -2Hn..2Hn, and sampling folds harmonic m onto the DFT bin
+    (m * f0 * duration) mod N.
+    """
+    a = np.asarray(amplitudes, dtype=float)
+    h = a.size
+    x = np.concatenate([a[::-1] / 2.0, [0.0], a / 2.0])  # harmonics -h..h
+    power = float(np.sum(a * a)) / 2.0
+    u = np.convolve(x, x) / power
+    u[2 * h] -= 1.0  # harmonics -2h..2h
+    span = 2 * h * n_terms  # beyond the last term's reach of 2h(n_terms - 1)
+    total, term = np.zeros(2 * span + 1), np.ones(1)
+    for n in range(n_terms):
+        if n:
+            term = np.convolve(term, u)
+        half = term.size // 2
+        total[span - half : span + half + 1] += float(exact_coefficient(n)) * term
+    coeffs = math.sqrt(power) / 2.0 * total
+    coeffs[span - h : span + h + 1] += x / 2.0
+    n_samples = round(sample_rate * duration)
+    bins = np.zeros(n_samples, dtype=complex)
+    harmonics = np.arange(-span, span + 1)
+    np.add.at(bins, harmonics * round(f0 * duration) % n_samples, coeffs)
+    return bins
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4), st.integers(1, 50))
+@example([1.0, 1.0, 1.0, 1.0], 50)
+def test_series_spectrum_equals_its_closed_form(amplitudes, n_terms):
+    """approximate_relu's DFT equals the series' folded Fourier coefficients.
+
+    approx_spectrum.csv's approx_mag is the magnitude of these bins. The
+    default probe, where the series diverges and the bins reach ~1e36,
+    keeps to about 2e-14 of its peak bin.
+    """
+    approx, _ = approximate_relu(harmonic_stack(5.0, amplitudes), 1024.0, 1.0, n_terms)
+    bins = np.fft.fft(approx.samples) / approx.samples.size
+    expected = series_harmonics(amplitudes, n_terms)
+    assert np.max(np.abs(bins - expected)) <= 1e-13 * np.max(np.abs(bins))

@@ -119,10 +119,12 @@ class TestLayout:
         theta = init_network(SMALL_ARCH, 2).theta
         with pytest.raises(ValueError):
             layer_views(SMALL_ARCH, theta[:-1])
+        with pytest.raises(ValueError, match="parameter vector"):  # no write-through views
+            layer_views(SMALL_ARCH, list(theta))
 
 
 class TestSizes:
-    @pytest.mark.parametrize("value", [1.5, 2.0, "3", np.float64(2.0)])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", np.float64(2.0), True])
     @pytest.mark.parametrize(
         "field", ["filters", "kernel_size", "hidden_units", "n_classes", "input_length"]
     )
@@ -804,10 +806,12 @@ class TestTrain:
             (1, 2.5, "batch_size must be an integer >= 1, got 2.5"),
             ("1", 8, "epochs must be an integer >= 0, got '1'"),
             (1, 0, "batch_size must be an integer >= 1, got 0"),
+            (True, 8, "epochs must be an integer >= 0, got True"),
+            (1, True, "batch_size must be an integer >= 1, got True"),
         ],
     )
     def test_counts_must_be_integers(self, epochs, batch_size, message):
-        """The first three once raised a raw TypeError."""
+        """The first three once raised a raw TypeError; True once counted as 1."""
         with pytest.raises(ValueError, match=message):
             train(init_network(self.arch, 0), toy_separable_set(), epochs, batch_size)
 
@@ -1387,10 +1391,10 @@ SEEDED_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("seed", [2.5, -1, "3", None])
+@pytest.mark.parametrize("seed", [2.5, -1, "3", None, True])
 @pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
 def test_a_seed_must_be_an_integer_from_0_before_any_draw(entry, seed, monkeypatch):
-    """None once drew fresh OS entropy; 2.5 and -1 raised numpy's unnamed errors.
+    """None once drew fresh OS entropy; 2.5 and -1 raised numpy's unnamed errors; True drew seed 1.
 
     No PCG64 stream may be built once the other arguments are. zero_train_eval
     with no kernel takes a None seed as a missing one.
