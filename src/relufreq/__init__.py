@@ -54,7 +54,6 @@ from .convnets import (
     run_prototype,
 )
 from .trainer import (
-    AdamState,
     Architecture,
     ConvLayerSpec,
     Network,
@@ -62,7 +61,6 @@ from .trainer import (
     adam_step,
     backward,
     forward,
-    init_adam_state,
     init_network,
     layer_views,
     loss_sparse_ce,

@@ -4,7 +4,8 @@ A network's parameters are one float64 vector ``theta``: the conv layers in
 order, then the hidden dense layer, then the output dense layer, each layer's
 taps before its biases. Gradients and Adam moments are vectors of the same
 layout; ``layer_views`` turns any of them into per-layer {"w", "b"} views.
-All operations are pure functions of their inputs and seeds.
+All operations but adam_step, which updates its arrays in place, are pure
+functions of their inputs and seeds.
 """
 
 from __future__ import annotations
@@ -106,13 +107,6 @@ class Network:
 
 # The one Adam setting every network trains with (Kingma & Ba's defaults).
 ADAM = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
-
-
-@dataclass
-class AdamState:
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int
 
 
 @dataclass
@@ -280,6 +274,8 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray
 def loss_sparse_ce(logits: np.ndarray, labels) -> float:
     """Mean cross entropy of integer labels under softmax(logits), max-stabilized."""
     logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 2:
+        raise ValueError(f"logits must have shape (rows, classes), got {logits.shape}")
     return _cross_entropy(logits, _labels(labels, *logits.shape))[0]
 
 
@@ -331,27 +327,16 @@ def _backward(arch: Architecture, params: list, grads: list, cache: dict, y: np.
 # optimization
 
 
-def _check_same_shape(what: str, first: np.ndarray, *others: np.ndarray) -> None:
-    if any(np.shape(other) != np.shape(first) for other in others):
-        raise ValueError(f"{what}: shape mismatch")
+def adam_step(m: np.ndarray, v: np.ndarray, theta: np.ndarray, grad: np.ndarray, t: int) -> None:
+    """Adam's bias-corrected step t with ADAM's settings, applied to m, v and theta in place.
 
-
-def init_adam_state(theta: np.ndarray) -> AdamState:
-    return AdamState(np.zeros_like(theta), np.zeros_like(theta), 0)
-
-
-def adam_step(
-    state: AdamState, theta: np.ndarray, grad: np.ndarray
-) -> Tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update with the settings ADAM holds when it is called."""
-    _check_same_shape("adam_step", theta, grad, state.first_moment, state.second_moment)
-    m, v, theta = (np.array(a, float) for a in (state.first_moment, state.second_moment, theta))
-    _adam_update(m, v, theta, grad, state.step_count + 1)
-    return AdamState(m, v, state.step_count + 1), theta
-
-
-def _adam_update(m: np.ndarray, v: np.ndarray, theta: np.ndarray, grad: np.ndarray, t: int) -> None:
-    """adam_step's core: Adam's step t updates the moments m, v and theta in place."""
+    m and v are the first and second moments (zeros before step 1). m, v and
+    theta must be float64 ndarrays of grad's shape, and t an int >= 1.
+    """
+    arrays = {type(m), type(v), type(theta)} == {np.ndarray} and m.shape == v.shape == theta.shape
+    if not (arrays and m.dtype == v.dtype == theta.dtype == float and theta.shape == np.shape(grad)
+            and type(t) is int and t >= 1):
+        raise ValueError("adam_step: m, v and theta must be float64 arrays of grad's shape, t >= 1")
     b1, b2 = ADAM["beta1"], ADAM["beta2"]
     m[...] = b1 * m + (1.0 - b1) * grad
     v[...] = b2 * v + (1.0 - b2) * grad * grad
@@ -360,8 +345,9 @@ def _adam_update(m: np.ndarray, v: np.ndarray, theta: np.ndarray, grad: np.ndarr
 
 def weight_distance(arch: Architecture, theta0: np.ndarray, theta1: np.ndarray) -> List[float]:
     """Per-layer Euclidean distance between two parameter vectors (taps and biases)."""
-    _check_same_shape("weight_distance", theta0, theta1)
-    layers = layer_views(arch, theta1 - theta0)
+    if np.shape(theta0) != np.shape(theta1):
+        raise ValueError("weight_distance: shape mismatch")
+    layers = layer_views(arch, np.subtract(theta1, theta0))
     return [math.sqrt(sum(float(np.sum(d * d)) for d in layer.values())) for layer in layers]
 
 
@@ -394,7 +380,7 @@ def train(
     n_conv = len(arch.conv_layers)
     theta0 = net.theta
     curves = {"loss": np.empty(epochs), "distance": np.zeros((n_conv, epochs + 1))}
-    # each step: forward, then backward's and adam_step's cores on buffers made once
+    # each step: forward, backward's core and adam_step on buffers made once
     current = replace(net, theta=np.array(theta0, dtype=float))
     grad, m, v = (np.zeros_like(current.theta) for _ in range(3))
     params, grads = layer_views(arch, current.theta), layer_views(arch, grad)
@@ -409,7 +395,7 @@ def train(
             if not math.isfinite(loss):
                 raise DivergenceError(f"loss is {loss} at epoch {epoch}, batch {batch}")
             batch_losses.append(loss)
-            _adam_update(m, v, current.theta, grad, (epoch - 1) * len(starts) + batch)
+            adam_step(m, v, current.theta, grad, (epoch - 1) * len(starts) + batch)
         curves["loss"][epoch - 1] = np.mean(batch_losses)
         # the dense-head distances are not recorded
         curves["distance"][:, epoch] = weight_distance(arch, theta0, current.theta)[:n_conv]

@@ -412,14 +412,13 @@ class TestDcModel:
             assert dc_model(amps, gains) >= base
 
 
-def series_harmonics(amplitudes, n_terms, f0=5.0, sample_rate=1024.0, duration=1.0):
-    """The truncated series' DFT / N in closed form, for zero-phase harmonics of f0.
+def series_coefficients(amplitudes, n_terms):
+    """The truncated series' Fourier coefficients at harmonics -span..span of f0, unfolded.
 
     x = sum_k a_k cos(k theta) has the coefficients a_k / 2 at harmonics +-k,
     so u = x^2 / A - 1 is one np.convolve of them, and u^n is n of them.
     x / 2 + sqrt(A) / 2 * sum_n c_n u^n then has exact coefficients at
-    harmonics -2Hn..2Hn, and sampling folds harmonic m onto the DFT bin
-    (m * f0 * duration) mod N.
+    harmonics -2Hn..2Hn. Harmonic m sits at index m + span, span = size // 2.
     """
     a = np.asarray(amplitudes, dtype=float)
     h = a.size
@@ -436,6 +435,17 @@ def series_harmonics(amplitudes, n_terms, f0=5.0, sample_rate=1024.0, duration=1
         total[span - half : span + half + 1] += float(exact_coefficient(n)) * term
     coeffs = math.sqrt(power) / 2.0 * total
     coeffs[span - h : span + h + 1] += x / 2.0
+    return coeffs
+
+
+def series_harmonics(amplitudes, n_terms, f0=5.0, sample_rate=1024.0, duration=1.0):
+    """The truncated series' DFT / N in closed form, for zero-phase harmonics of f0.
+
+    Sampling folds series_coefficients' harmonic m onto the DFT bin
+    (m * f0 * duration) mod N.
+    """
+    coeffs = series_coefficients(amplitudes, n_terms)
+    span = coeffs.size // 2
     n_samples = round(sample_rate * duration)
     bins = np.zeros(n_samples, dtype=complex)
     harmonics = np.arange(-span, span + 1)
@@ -457,3 +467,19 @@ def test_series_spectrum_equals_its_closed_form(amplitudes, n_terms):
     bins = np.fft.fft(approx.samples) / approx.samples.size
     expected = series_harmonics(amplitudes, n_terms)
     assert np.max(np.abs(bins - expected)) <= 1e-13 * np.max(np.abs(bins))
+
+
+@pytest.mark.parametrize("n_terms, max_k, tolerance", [(200, 8, 0.02), (1000, 20, 0.03)])
+def test_one_tone_series_error_at_even_harmonic_k_is_k2_minus_1_over_8n(n_terms, max_k, tolerance):
+    """relu(cos) has 1/pi at DC, 1/4 at harmonic 1, 0 at odd k > 1, and
+    (-1)^(k/2+1) / (pi (k^2 - 1)) at even k. The n-term series is exact at the
+    odd harmonics; at even k (DC included) its relative error is |k^2 - 1| / (8n).
+    """
+    coeffs = series_coefficients([1.0], n_terms)
+    span = coeffs.size // 2
+    assert coeffs[span + 1] == 0.25
+    assert np.all(coeffs[span + 3 : span + max_k : 2] == 0.0)
+    for k in range(0, max_k + 1, 2):
+        exact = (-1) ** (k // 2 + 1) / (math.pi * (k * k - 1))
+        error = abs(coeffs[span + k] - exact) / abs(exact)
+        assert error / (abs(k * k - 1) / (8 * n_terms)) == pytest.approx(1.0, rel=tolerance)

@@ -30,7 +30,6 @@ from relufreq import (
     dc_model,
     dc_of,
     forward,
-    init_adam_state,
     init_network,
     layer_views,
     loss_sparse_ce,
@@ -405,6 +404,9 @@ class TestLoss:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             loss_sparse_ce(np.zeros((2, 3)), [0, 3])
+        for logits in (np.zeros(3), np.zeros((1, 2, 3)), 0.0):
+            with pytest.raises(ValueError, match=r"logits must have shape \(rows, classes\)"):
+                loss_sparse_ce(logits, [0])
 
 
 ROW_LABELS = np.arange(32) % 3
@@ -680,15 +682,17 @@ def test_loss_and_gradient_equal_the_two_pass_reference_on_training_shapes(activ
     assert_step_equals_the_two_pass_reference(net, inputs, labels)
 
 
+def fresh_moments(theta):
+    return np.zeros_like(theta), np.zeros_like(theta)
+
+
 class TestAdam:
     def test_first_step_moves_by_lr_sign(self):
         theta = np.array([1.0, -2.0, 0.5, 0.0])
         grad = np.array([0.3, -0.2, 0.9, -1.5])
-        state = init_adam_state(theta)
-        state, new_theta = adam_step(state, theta, grad)
-        assert state.step_count == 1
         expected = theta - trainer.ADAM["lr"] * grad / (np.abs(grad) + trainer.ADAM["epsilon"])
-        assert np.allclose(new_theta, expected, atol=1e-15)
+        adam_step(*fresh_moments(theta), theta, grad, 1)
+        assert np.allclose(theta, expected, atol=1e-15)
 
     def test_equals_a_scalar_loop_of_kingma_and_ba_algorithm_1(self):
         """40 steps, gradients from 1e-8 to 1e8 with all-zero steps, equal bit for bit."""
@@ -706,28 +710,26 @@ class TestAdam:
                 m_hat = m[i] / (1.0 - beta1**t)
                 v_hat = v[i] / (1.0 - beta2**t)
                 expected[i] = expected[i] - lr * m_hat / (math.sqrt(v_hat) + epsilon)
-        state = init_adam_state(theta)
-        for grad in grads:
-            state, theta = adam_step(state, theta, grad)
-        assert state.step_count == 40
+        moments = fresh_moments(theta)
+        for t, grad in enumerate(grads, 1):
+            adam_step(*moments, theta, grad, t)
         assert theta.tolist() == expected
+        assert moments[0].tolist() == m and moments[1].tolist() == v
 
     def test_zero_gradient_from_fresh_state_keeps_parameters(self):
         theta = np.array([1.0, 2.0])
-        state = init_adam_state(theta)
-        state, after = adam_step(state, theta, np.zeros(2))
-        assert np.array_equal(after, theta)
-        assert state.step_count == 1
+        adam_step(*fresh_moments(theta), theta, np.zeros(2), 1)
+        assert theta.tolist() == [1.0, 2.0]
 
     def test_zero_gradients_decay_moments(self):
         theta = np.array([1.0, 2.0])
-        state = init_adam_state(theta)
-        state, theta = adam_step(state, theta, np.array([0.5, -0.5]))
-        m_before = np.abs(state.first_moment).copy()
-        for _ in range(10):
-            state, theta = adam_step(state, theta, np.zeros(2))
-        assert np.all(np.abs(state.first_moment) < 0.5 * m_before)
-        assert np.all(np.abs(state.second_moment) < 0.25)
+        m, v = fresh_moments(theta)
+        adam_step(m, v, theta, np.array([0.5, -0.5]), 1)
+        m_before = np.abs(m).copy()
+        for t in range(2, 12):
+            adam_step(m, v, theta, np.zeros(2), t)
+        assert np.all(np.abs(m) < 0.5 * m_before)
+        assert np.all(np.abs(v) < 0.25)
 
     def test_identical_gradient_sequences_give_identical_trajectories(self):
         rng = np.random.default_rng(6)
@@ -735,18 +737,32 @@ class TestAdam:
 
         def run():
             theta = np.ones(4)
-            state = init_adam_state(theta)
-            for grad in seq:
-                state, theta = adam_step(state, theta, grad)
+            moments = fresh_moments(theta)
+            for t, grad in enumerate(seq, 1):
+                adam_step(*moments, theta, grad, t)
             return theta
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        theta = np.ones(3)
-        state = init_adam_state(theta)
-        with pytest.raises(ValueError):
-            adam_step(state, theta, np.ones(4))
+        """Also a moment or theta that is not a float64 ndarray, and a step that is not an int >= 1."""
+        ones = np.ones(3)
+        defects = [
+            (ones, ones, ones, np.ones(4), 1),
+            (ones, ones[:2], ones, ones, 1),
+            (ones, ones, ones.tolist(), ones, 1),
+            (ones, ones.astype(np.float32), ones, ones, 1),
+            (ones, ones, ones.astype(int), ones, 1),
+            (ones, ones, ones, ones, 0),
+            (ones, ones, ones, ones, True),
+            (ones, ones, ones, ones, 1.0),
+            (ones, ones, ones, ones, np.int64(1)),
+        ]
+        for m, v, theta, grad, t in defects:
+            before = [np.array(a, copy=True) for a in (m, v, theta)]
+            with pytest.raises(ValueError, match="adam_step"):
+                adam_step(m, v, theta, grad, t)
+            assert [np.asarray(a).tobytes() for a in (m, v, theta)] == [a.tobytes() for a in before]
 
 
 class TestWeightDistance:
@@ -765,6 +781,8 @@ class TestWeightDistance:
             0.0,
             0.0,
         ]
+        as_lists = weight_distance(SMALL_ARCH, theta0.tolist(), theta1.tolist())
+        assert as_lists == weight_distance(SMALL_ARCH, theta0, theta1)
 
     def test_triangle_inequality(self):
         thetas = [init_network(SMALL_ARCH, s).theta for s in (1, 2, 3)]
@@ -856,14 +874,16 @@ class TestTrain:
 def reference_train(net, trainset, epochs, batch_size, seed):
     """train's curves and final accuracy from the public forward -> backward -> adam_step.
 
-    Every adam_step must leave the state, theta and gradient it is given unchanged.
+    Every adam_step must leave the gradient it is given unchanged.
     """
     arch, x, y = net.architecture, trainset.inputs, trainset.labels
     n_conv = len(arch.conv_layers)
     rng = np.random.Generator(np.random.PCG64(seed))
-    state, current = init_adam_state(net.theta), net
+    current = replace(net, theta=net.theta.copy())
+    m, v = fresh_moments(current.theta)
     losses, distances = [], [[0.0] * n_conv]
     starts = range(0, y.size, batch_size)
+    t = 0
     for _ in range(epochs):
         perm = rng.permutation(y.size)
         batch_losses = []
@@ -872,13 +892,10 @@ def reference_train(net, trainset, epochs, batch_size, seed):
             _, cache = forward(current, x[idx])
             grad = backward(current, cache, y[idx])
             batch_losses.append(cache["loss"])
-            given = (state.first_moment, state.second_moment, current.theta, grad)
-            copies = [a.copy() for a in given]
-            new_state, theta = adam_step(state, current.theta, grad)
-            for a, copy in zip(given, copies):
-                assert_bitwise_equal(a, copy)
-            assert new_state.step_count == state.step_count + 1
-            state, current = new_state, replace(current, theta=theta)
+            given = grad.copy()
+            t += 1
+            adam_step(m, v, current.theta, grad, t)
+            assert_bitwise_equal(grad, given)
         losses.append(np.mean(batch_losses))
         distances.append(weight_distance(arch, net.theta, current.theta)[:n_conv])
     logits = np.concatenate([forward(current, x[i : i + batch_size])[0] for i in starts])
@@ -908,6 +925,25 @@ def test_train_equals_the_public_step_loop(trainset, activation, seed):
     assert_bitwise_equal(record.curves["loss"], loss)
     assert_bitwise_equal(record.curves["distance"], distance)
     assert_bitwise_equal(np.array(record.final_accuracy), np.array(accuracy))
+
+
+def test_train_runs_the_public_adam_step_once_per_batch(monkeypatch):
+    """train looks adam_step up in its module on every step, so a traced or patched one sees each step.
+
+    The toy set trains 32 rows in batches of 7: 5 steps an epoch, numbered
+    on across epochs.
+    """
+    steps = []
+    adam_step_ = trainer.adam_step
+
+    def counting_adam_step(m, v, theta, grad, t):
+        steps.append(t)
+        adam_step_(m, v, theta, grad, t)
+
+    monkeypatch.setattr(trainer, "adam_step", counting_adam_step)
+    arch = Architecture((ConvLayerSpec(2, 3, "relu"),), 4, 2, 16)
+    train(init_network(arch, 0), toy_separable_set(), 3, 7)
+    assert steps == list(range(1, 3 * math.ceil(32 / 7) + 1))
 
 
 @pytest.mark.parametrize("epochs", [0, 2])
