@@ -58,13 +58,11 @@ def make_prototype_stack(
     pool: Optional[Tuple[int, int]] = None,
 ) -> PrototypeStack:
     """Differentiator stacks use taps [1, -1]; moving-average stacks 1/n * ones(n)."""
-    if kind == DIFFERENTIATOR:
-        kernel = Kernel(np.array([1.0, -1.0]))
-    elif kind == MOVING_AVERAGE:
+    if kind == MOVING_AVERAGE:
         avg_len = _size("avg_len", avg_len, 1)
         kernel = Kernel(np.ones(avg_len) / avg_len)
-    else:
-        raise ValueError(f"unknown stack kind {kind!r}")
+    else:  # DIFFERENTIATOR; PrototypeStack rejects any other kind
+        kernel = Kernel(np.array([1.0, -1.0]))
     return PrototypeStack(kind, depth, kernel, pool)
 
 

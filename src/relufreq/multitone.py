@@ -180,8 +180,8 @@ class LabeledSet:
         if labels.dtype.kind in "biu":  # compared as integers, so no label rounds
             valid = (labels >= 0) & (labels <= np.iinfo(int).max)
         else:
-            labels = labels.astype(float)
-            valid = (labels >= 0) & (labels < 2.0**53) & (labels == np.floor(labels))
+            real = labels.dtype.kind == "f"  # a string or complex label is no integer
+            valid = real and (labels >= 0) & (labels < 2.0**53) & (labels == np.floor(labels))
         if not np.all(valid):
             raise ValueError("labels must be integers >= 0, and float labels below 2**53")
         self.labels = labels.astype(int)

@@ -256,8 +256,8 @@ def forward(net: Network, batch: np.ndarray) -> Tuple[np.ndarray, dict]:
 
 def _labels(labels, n_rows: int, n_classes: int) -> np.ndarray:
     """labels as ints once they are n_rows >= 1 integers in 0..n_classes - 1, else ValueError."""
-    y = np.asarray(labels, dtype=float)
-    valid = np.all((y >= 0) & (y < n_classes) & (y == np.floor(y)))
+    y = np.asarray(labels)
+    valid = y.dtype.kind in "biuf" and np.all((y >= 0) & (y < n_classes) & (y == np.floor(y)))
     if not (n_rows and y.shape == (n_rows,) and valid):
         raise ValueError(f"labels must be {n_rows} integers in 0..{n_classes - 1}")
     return y.astype(int)
@@ -291,13 +291,8 @@ def backward(net: Network, cache: dict, labels) -> np.ndarray:
     y = _labels(labels, *cache["logits"].shape)
     arch = net.architecture
     grad = np.zeros_like(net.theta)
-    cache["loss"] = _backward(arch, layer_views(arch, net.theta), layer_views(arch, grad), cache, y)
-    return grad
-
-
-def _backward(arch: Architecture, params: list, grads: list, cache: dict, y: np.ndarray) -> float:
-    """backward's unchecked core: writes every entry of the grads views; returns the loss."""
-    loss, dlogits = _cross_entropy(cache["logits"], y)
+    params, grads = layer_views(arch, net.theta), layer_views(arch, grad)
+    cache["loss"], dlogits = _cross_entropy(cache["logits"], y)
     dlogits[np.arange(len(dlogits)), y] -= 1.0
     dlogits /= len(dlogits)
 
@@ -320,7 +315,7 @@ def _backward(arch: Architecture, params: list, grads: list, cache: dict, y: np.
         grads[i]["b"][...] = dpre.sum(axis=(0, 2))
         if i > 0:
             dacts = _conv_input_grad(params[i]["w"], dpre)
-    return loss
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +362,8 @@ def train(
     products in the head do only while every slice has a multiple of 4 rows,
     as the defaults (900 rows in slices of 32, the last of 4) have. Other
     shapes can move a logit by one ulp against a whole-set forward(), which
-    changes the accuracy only at an exact argmax tie. Labels are checked once,
-    before any step, as backward() checks them; train leaves net.theta unchanged.
+    changes the accuracy only at an exact argmax tie. Labels are checked once
+    up front, then by each step's backward(); train leaves net.theta unchanged.
     """
     if len(trainset) == 0:
         raise ValueError("trainset must be non-empty")
@@ -380,10 +375,8 @@ def train(
     n_conv = len(arch.conv_layers)
     theta0 = net.theta
     curves = {"loss": np.empty(epochs), "distance": np.zeros((n_conv, epochs + 1))}
-    # each step: forward, backward's core and adam_step on buffers made once
     current = replace(net, theta=np.array(theta0, dtype=float))
-    grad, m, v = (np.zeros_like(current.theta) for _ in range(3))
-    params, grads = layer_views(arch, current.theta), layer_views(arch, grad)
+    m, v = np.zeros_like(current.theta), np.zeros_like(current.theta)
     starts = range(0, y.size, batch_size)
     for epoch in range(1, epochs + 1):
         perm = rng.permutation(y.size)
@@ -391,7 +384,7 @@ def train(
         for batch, start in enumerate(starts, 1):
             idx = perm[start : start + batch_size]
             _, cache = forward(current, x[idx])
-            loss = _backward(arch, params, grads, cache, y[idx])
+            grad, loss = backward(current, cache, y[idx]), cache["loss"]
             if not math.isfinite(loss):
                 raise DivergenceError(f"loss is {loss} at epoch {epoch}, batch {batch}")
             batch_losses.append(loss)

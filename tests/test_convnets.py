@@ -188,7 +188,7 @@ class TestRunPrototype:
         assert layers[1].sample_rate == 8.0
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown stack kind 'boxcar'"):
             make_prototype_stack("boxcar", depth=2)
 
     @pytest.mark.parametrize("depth", [2.5, 2.0, "3", 0])

@@ -292,7 +292,8 @@ class TestSampleDataset:
             sample_dataset(DatasetSpec((3.0, 5.0), 0.1, 2, 64.0, 1e-9), 0)
 
     @pytest.mark.parametrize(
-        "labels", [[0.5, 1.5, 2.5], [0.0, math.nan, 1.0], [0, -1, 1], [0, math.inf, 1]]
+        "labels",
+        [[0.5, 1.5, 2.5], [0.0, math.nan, 1.0], [0, -1, 1], [0, math.inf, 1], ["0", "1", "2"]],
     )
     def test_labeled_set_takes_only_integer_labels_from_0(self, labels):
         """Labels were cast with int(), so 0.5, 1.5, 2.5 trained as 0, 1, 2."""
@@ -379,5 +380,6 @@ def test_each_input_rule_is_stated_once():
         "sample_rate must be finite and > 0",
         "duration must be finite and > 0",
         "Hz has too many samples",
+        "unknown stack kind",
     ):
         assert sum(rule in text for text in texts) == 1, rule

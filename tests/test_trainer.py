@@ -418,6 +418,8 @@ LABEL_DEFECTS = {
     "a_fraction": np.where(ROW_LABELS == 1, 1.7, ROW_LABELS),
     "nan": np.where(ROW_LABELS == 1, np.nan, ROW_LABELS),
     "inf": np.where(ROW_LABELS == 1, np.inf, ROW_LABELS),
+    "a_string": ROW_LABELS.astype(str),
+    "a_complex": ROW_LABELS + 0j,
 }
 
 
@@ -927,23 +929,27 @@ def test_train_equals_the_public_step_loop(trainset, activation, seed):
     assert_bitwise_equal(np.array(record.final_accuracy), np.array(accuracy))
 
 
-def test_train_runs_the_public_adam_step_once_per_batch(monkeypatch):
-    """train looks adam_step up in its module on every step, so a traced or patched one sees each step.
+@pytest.mark.parametrize("name", ["adam_step", "backward"])
+def test_train_runs_the_public_step_functions_once_per_batch(name, monkeypatch):
+    """train looks adam_step and backward up in its module, so a patched one sees every step.
 
-    The toy set trains 32 rows in batches of 7: 5 steps an epoch, numbered
-    on across epochs.
+    The toy set trains 32 rows in batches of 7: 5 steps an epoch, with
+    Adam's step t numbered on across epochs.
     """
-    steps = []
-    adam_step_ = trainer.adam_step
+    calls = []
+    public = getattr(trainer, name)
 
-    def counting_adam_step(m, v, theta, grad, t):
-        steps.append(t)
-        adam_step_(m, v, theta, grad, t)
+    def counting(*args):
+        calls.append(args)
+        return public(*args)
 
-    monkeypatch.setattr(trainer, "adam_step", counting_adam_step)
+    monkeypatch.setattr(trainer, name, counting)
     arch = Architecture((ConvLayerSpec(2, 3, "relu"),), 4, 2, 16)
     train(init_network(arch, 0), toy_separable_set(), 3, 7)
-    assert steps == list(range(1, 3 * math.ceil(32 / 7) + 1))
+    steps = 3 * math.ceil(32 / 7)
+    assert len(calls) == steps
+    if name == "adam_step":
+        assert [args[-1] for args in calls] == list(range(1, steps + 1))
 
 
 @pytest.mark.parametrize("epochs", [0, 2])
